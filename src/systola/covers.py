@@ -3,12 +3,21 @@
 A cocycle with values in Z2 (or the integers, reduced mod N) prescribes
 sheet transitions along edges; the cocycle condition makes every face
 lift consistently, so the total space is again a simplicial complex with
-vertices ``(v, sheet)``.
+vertices ``(v, sheet)``, built on first read.
 
 BFS utilities (:func:`edge_distance`, :func:`ball`, :func:`sphere`) are
-plain Python.  The systole and triviality-radius scans run one search
-per base vertex; those are routed through scipy's compiled graph
-routines since the verification grids make thousands of such calls.
+plain Python.  The systole and the homotopy triviality radius come from
+one scan with one BFS tree per base vertex x, taken from scipy's
+compiled ``dijkstra``.  Summing the cocycle along the tree gives a
+potential p_x, and an edge uv is a *defect* when xi(u, v) differs from
+p_x(v) - p_x(u) mod N.  Every defect closes a loop x -> u -> v -> x of
+length d(u) + d(v) + 1 with nontrivial holonomy, and when x lies on a
+shortest such loop, one of its edges is a defect with d(u) + d(v) + 1 at
+most its length (the minimum-circuit argument of Itai and Rodeh, "Finding
+a minimum circuit in a graph", SIAM J. Comput. 1978), so the systole is
+the least d(u) + d(v) + 1.  The tree spans every ball B(x, r), so the
+cover is trivial over the ball exactly when no defect has both ends
+within r, and the radius is the least max(d(u), d(v)) minus one.
 """
 
 from __future__ import annotations
@@ -27,7 +36,8 @@ from .errors import CocycleError, ParameterError, UnknownVertexError
 
 INFINITY = math.inf
 
-_BFS_CHUNK = 512
+# cells per (source, edge) array in one chunk of the holonomy scan
+_SCAN_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -43,18 +53,24 @@ class BallProfile:
 class Cover:
     """A double or cyclic covering complex with its deck action."""
 
-    __slots__ = ("base", "cocycle", "fiber", "kind", "total_complex", "universal",
-                 "_arrays", "_base_dists")
+    __slots__ = ("base", "cocycle", "fiber", "kind", "_total", "_arrays", "_scan")
 
-    def __init__(self, base, cocycle, fiber, total_complex, universal=False):
+    def __init__(self, base, cocycle, fiber):
         self.base = base
         self.cocycle = cocycle
         self.fiber = fiber
         self.kind = "double" if fiber == 2 else "cyclic"
-        self.total_complex = total_complex
-        self.universal = universal
+        self._total = None
         self._arrays = None
-        self._base_dists = None
+        self._scan = None
+
+    @property
+    def total_complex(self) -> SimplicialComplex:
+        """The covering complex itself, built on first read."""
+        if self._total is None:
+            self._total = SimplicialComplex(
+                [self.lift_face(f, s) for f in self.base.facets for s in range(self.fiber)])
+        return self._total
 
     def project(self, vertex):
         return vertex[0]
@@ -83,7 +99,7 @@ class Cover:
     # -- compiled-graph plumbing ----------------------------------------
 
     def _edge_arrays(self):
-        """Index arrays for base edges and their fiber lifts.
+        """Index arrays for base edges, their shifts and their fiber lifts.
 
         Cover edges come in fiber-size groups aligned with the base edge
         list, so a mask on base edges expands with ``np.repeat``.
@@ -103,24 +119,14 @@ class Cover:
         sheets = np.arange(F, dtype=np.int64)
         cu = (eu[:, None] * F + sheets[None, :]).ravel()
         cv = (ev[:, None] * F + (sheets[None, :] + shift[:, None]) % F).ravel()
-        total = sparse.coo_matrix(
-            (np.ones(len(cu), dtype=np.int8), (cu, cv)), shape=(nv * F, nv * F)
-        ).tocsr()
         base_csr = sparse.coo_matrix(
             (np.ones(len(eu), dtype=np.int8), (eu, ev)), shape=(nv, nv)
         ).tocsr()
-        self._arrays = (eu, ev, cu, cv, base_csr, total)
+        self._arrays = (eu, ev, shift, cu, cv, base_csr)
         return self._arrays
 
-    def _base_distance_matrix(self):
-        if self._base_dists is None:
-            _, _, _, _, base_csr, _ = self._edge_arrays()
-            self._base_dists = _all_pairs_distances(base_csr)
-        return self._base_dists
 
-
-def build_cover(X: SimplicialComplex, xi: Cochain1, fiber: int = 2,
-                universal: bool = False) -> Cover:
+def build_cover(X: SimplicialComplex, xi: Cochain1, fiber: int = 2) -> Cover:
     """Build the covering complex prescribed by the cocycle xi.
 
     ``fiber=2`` gives the double cover of a Z2 cocycle; ``fiber=N`` with
@@ -137,15 +143,7 @@ def build_cover(X: SimplicialComplex, xi: Cochain1, fiber: int = 2,
         raise ParameterError("cyclic covers with fiber > 2 need integer values")
     if not is_cocycle(xi):
         raise CocycleError("sheet transitions require a cocycle")
-    total_facets = []
-    for f in X.facets:
-        v0 = f[0]
-        shifts = [xi.value(v0, v) % fiber for v in f]
-        for s in range(fiber):
-            total_facets.append(tuple(sorted(
-                (v, (s + d) % fiber) for v, d in zip(f, shifts))))
-    total = SimplicialComplex(total_facets)
-    return Cover(X, xi, fiber, total, universal=universal)
+    return Cover(X, xi, fiber)
 
 
 # -- plain BFS metric ----------------------------------------------------
@@ -211,40 +209,66 @@ def ball_profile(X: SimplicialComplex, x, r_max: int | None = None) -> BallProfi
 
 # -- systole and triviality radii ----------------------------------------
 
-def _all_pairs_distances(csgraph):
-    n = csgraph.shape[0]
-    out = np.empty((n, n), dtype=np.float32)
-    for start in range(0, n, _BFS_CHUNK):
-        idx = np.arange(start, min(start + _BFS_CHUNK, n))
-        out[idx] = dijkstra(csgraph, directed=False, unweighted=True, indices=idx)
-    return out
+def _holonomy_scan(C: Cover):
+    """(systole, radius, centre) by the defect scan of the module docstring.
+
+    ``centre`` is the base index of a source attaining the radius, or None
+    when no edge is a defect.  Sources go in chunks of ``_SCAN_CELLS //
+    max(E, V)`` so the per-chunk (source, edge) arrays stay small.
+    """
+    if C._scan is not None:
+        return C._scan
+    eu, ev, shift, _, _, base_csr = C._edge_arrays()
+    F = C.fiber
+    nv = C.base.num_vertices
+    # narrowest signed dtype for potentials and their differences (> -2F)
+    hol = np.min_scalar_type(-2 * F)
+    # directed steps a -> b keyed by a * nv + b, with their holonomy mod F
+    keys = np.concatenate((eu * nv + ev, ev * nv + eu))
+    order = np.argsort(keys)
+    keys = keys[order]
+    steps = np.concatenate((shift, -shift % F)).astype(hol)[order]
+    shift = shift.astype(hol)
+    systole = radius = INFINITY
+    centre = None
+    chunk = max(1, _SCAN_CELLS // max(len(eu), nv, 1))
+    for start in range(0, nv, chunk):
+        sources = np.arange(start, min(start + chunk, nv))
+        dist, pred = dijkstra(base_csr, directed=False, unweighted=True,
+                              indices=sources, return_predecessors=True)
+        reached = np.isfinite(dist)
+        depth = np.where(reached, dist, 0).astype(np.int32)
+        pot = np.zeros(dist.shape, dtype=hol)
+        for k in range(1, int(depth.max(initial=0)) + 1):
+            rows, cols = np.nonzero(depth == k)
+            parents = pred[rows, cols].astype(np.int64)
+            step = steps[np.searchsorted(keys, parents * nv + cols)]
+            pot[rows, cols] = (pot[rows, parents] + step) % F
+        defect = reached[:, eu] & ((pot[:, ev] - pot[:, eu] - shift) % F != 0)
+        rows, cols = np.nonzero(defect)
+        if not len(rows):
+            continue
+        du, dv = depth[rows, eu[cols]], depth[rows, ev[cols]]
+        systole = min(systole, int((du + dv).min()) + 1)
+        far = np.maximum(du, dv)
+        i = int(far.argmin())
+        if far[i] - 1 < radius:
+            radius, centre = int(far[i]) - 1, int(sources[rows[i]])
+    C._scan = (systole, radius, centre)
+    return C._scan
 
 
 def cover_systole(C: Cover):
     """Shortest loop in the base with a nontrivial deck holonomy.
 
     Equals the minimum, over base vertices v and nonzero fiber shifts g,
-    of the total-space distance between (v, 0) and (v, g).  This equals
-    the edge-path systole of the base whenever the cover is universal;
-    in general it is only an upper bound for it.  A trivial cover yields
-    inf.
+    of the total-space distance between (v, 0) and (v, g).  When the cover
+    is the universal cover of the base (as the generated quotients'
+    double covers are for n >= 2) this is the edge-path systole of the
+    base; in general it is only an upper bound for it.  A trivial cover
+    yields inf.
     """
-    F = C.fiber
-    nv = C.base.num_vertices
-    if nv == 0:
-        return INFINITY
-    _, _, _, _, _, total = C._edge_arrays()
-    best = INFINITY
-    sources = np.arange(nv, dtype=np.int64) * F
-    for start in range(0, nv, _BFS_CHUNK):
-        chunk = sources[start:start + _BFS_CHUNK]
-        dists = dijkstra(total, directed=False, unweighted=True, indices=chunk)
-        for g in range(1, F):
-            vals = dists[np.arange(len(chunk)), chunk + g]
-            m = vals.min() if len(vals) else INFINITY
-            if m < best:
-                best = m
-    return int(best) if math.isfinite(best) else INFINITY
+    return _holonomy_scan(C)[0]
 
 
 def loop_norm(X: SimplicialComplex, xi: Cochain1, fiber: int = 2):
@@ -261,7 +285,7 @@ def _mask_mixes_fibers(C: Cover, base_mask) -> bool:
     The masked subgraph is deck-invariant, so it suffices to compare each
     vertex's sheet-0 component label with its other sheets.
     """
-    eu, ev, cu, cv, _, _ = C._edge_arrays()
+    eu, ev, _, cu, cv, _ = C._edge_arrays()
     F = C.fiber
     nv = C.base.num_vertices
     kept = base_mask[eu] & base_mask[ev]
@@ -297,24 +321,17 @@ def is_pi_inessential(C: Cover, W) -> bool:
 def homotopy_triviality_radius(C: Cover):
     """Largest r such that every ball B(x, r) is inessential for the cover.
 
-    Returns inf for a trivial cover.  The scan never fails at r = 0
-    (single-vertex balls span no edges), so the nominal -1 return is
-    unreachable for simplicial covers.
+    Returns inf for a trivial cover.  Single-vertex balls span no edges,
+    so the radius is never below 0.  Before returning, the ball
+    B(x, r + 1) around a minimising centre is confirmed to mix sheets.
     """
-    nv = C.base.num_vertices
-    if nv == 0:
-        return INFINITY
-    dists = C._base_distance_matrix()
-    finite = dists[np.isfinite(dists)]
-    ecc = int(finite.max()) if finite.size else 0
-    r = 0
-    while True:
-        for x in range(nv):
-            if _mask_mixes_fibers(C, dists[x] <= r):
-                return r - 1
-        if r >= ecc:
-            return INFINITY
-        r += 1
+    _, radius, centre = _holonomy_scan(C)
+    if centre is not None:
+        base_csr = C._edge_arrays()[-1]
+        dist = dijkstra(base_csr, directed=False, unweighted=True, indices=[centre])[0]
+        if not _mask_mixes_fibers(C, dist <= radius + 1):
+            raise ParameterError("internal error: unsound radius witness")
+    return radius
 
 
 def homology_triviality_radius(X: SimplicialComplex, classes):

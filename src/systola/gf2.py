@@ -85,25 +85,3 @@ def kernel_basis(constraints, n_cols: int) -> list[int]:
                 x |= r & -r
         basis.append(x)
     return basis
-
-
-class Z2Matrix:
-    """A matrix over GF(2), rows stored as int bitsets."""
-
-    __slots__ = ("rows", "n_cols")
-
-    def __init__(self, rows, n_cols: int):
-        self.rows = list(rows)
-        self.n_cols = n_cols
-
-    def rank(self) -> int:
-        return rank(self.rows)
-
-    def row_space_contains(self, target: int) -> bool:
-        return in_span(self.rows, target)
-
-    def kernel_basis(self) -> list[int]:
-        return kernel_basis(self.rows, self.n_cols)
-
-    def __repr__(self):
-        return f"Z2Matrix({len(self.rows)}x{self.n_cols})"

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import systola as sy
 from systola.cochains import vertex_coboundary
@@ -227,6 +229,30 @@ def test_radius_on_disconnected_base_minimizes_over_components():
     cov = sy.build_cover(X, xi, 2)
     assert sy.cover_systole(cov) == 8
     assert sy.homotopy_triviality_radius(cov) == 3
+
+
+@st.composite
+def _graph_cochains(draw):
+    """A random graph on at most 9 vertices (possibly disconnected) with a
+    random Z2, Z3 or Z5 cochain; on a graph every cochain is a cocycle."""
+    n = draw(st.integers(2, 9))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    fiber = draw(st.sampled_from((2, 3, 5)))
+    X = sy.build_complex([list(e) for e in edges])
+    vals = {e: draw(st.integers(0, fiber - 1)) for e in sorted(X.faces(1))}
+    return X, sy.Cochain1(X, vals, sy.RING_Z2 if fiber == 2 else sy.RING_Z), fiber
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_graph_cochains())
+def test_systole_and_radius_agree_with_total_space_and_brute_force(case):
+    X, xi, fiber = case
+    cov = sy.build_cover(X, xi, fiber)
+    T = cov.total_complex
+    assert sy.cover_systole(cov) == min(
+        sy.edge_distance(T, (v, 0), (v, g)) for v in X.vertices for g in range(1, fiber))
+    assert sy.homotopy_triviality_radius(cov) == brute_homotopy_radius(cov)
 
 
 def test_homology_radius(rp2, rp2_class):

@@ -131,7 +131,7 @@ def test_vertex_count_consistency_with_systole_bound():
 
 
 def test_cover_certified_essentiality_meets_vertex_bound(rp2, rp2_class):
-    cover = sy.build_cover(rp2, rp2_class, 2, universal=True)
+    cover = sy.build_cover(rp2, rp2_class, 2)
     assert sy.combinatorial_essentiality(rp2, 2, cover=cover).essential is True
     sys_val = sy.cover_systole(cover)
     assert rp2.num_vertices >= sy.essential_vertex_bound_chain(2, sys_val)[1]

@@ -41,13 +41,6 @@ def test_kernel_of_zero_constraints_is_everything():
     assert len(gf2.kernel_basis([], 5)) == 5
 
 
-def test_z2matrix_wrapper():
-    m = gf2.Z2Matrix([0b101, 0b011], 3)
-    assert m.rank() == 2
-    assert m.row_space_contains(0b110)
-    assert len(m.kernel_basis()) == 1
-
-
 def test_determinism():
     rows = [0b1100, 0b1010, 0b0110]
     assert gf2.rref(rows) == gf2.rref(list(rows))
