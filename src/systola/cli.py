@@ -230,7 +230,12 @@ def _cmd_bounds(args) -> int:
 def _cmd_verify_all(args) -> int:
     threads = args.threads
     if threads is None:
-        threads = int(os.environ.get("SYSTOLA_THREADS", "1"))
+        text = os.environ.get("SYSTOLA_THREADS", "1")
+        if not text.strip().isdecimal():
+            raise _UsageError(f"SYSTOLA_THREADS must be a positive integer, not {text!r}")
+        threads = int(text)
+    if threads < 1:
+        raise _UsageError(f"the thread count must be at least 1, not {threads}")
     report = verify_grid(args.n_max, args.s_max, seed=args.seed, threads=threads)
     if args.csv:
         Path(args.csv).write_text(report.to_csv_text())

@@ -7,8 +7,6 @@ tests work over Z2.
 
 from __future__ import annotations
 
-from collections import deque
-
 from . import gf2
 from .complexes import InducedSubcomplex, SimplicialComplex, induced
 from .errors import DimensionError, DomainError, ParameterError
@@ -25,7 +23,7 @@ class Cochain1:
     vertex.
     """
 
-    __slots__ = ("complex", "values", "ring")
+    __slots__ = ("complex", "values", "ring", "_steps")
 
     def __init__(self, complex: SimplicialComplex, values, ring: str = RING_Z2):
         if ring not in (RING_Z2, RING_Z):
@@ -42,6 +40,7 @@ class Cochain1:
         self.complex = complex
         self.values = vals
         self.ring = ring
+        self._steps = None
 
     def value(self, u, v) -> int:
         """Value on the oriented edge u -> v."""
@@ -49,6 +48,13 @@ class Cochain1:
             return self.values.get((u, v), 0)
         x = self.values.get((v, u), 0)
         return x if self.ring == RING_Z2 else -x
+
+    def step_table(self) -> dict:
+        """Vertex v -> ((w, value(v, w)), ...) over its neighbours, built once."""
+        if self._steps is None:
+            self._steps = {v: tuple((w, self.value(v, w)) for w in nbrs)
+                           for v, nbrs in self.complex.adjacency().items()}
+        return self._steps
 
     def is_zero(self) -> bool:
         return not self.values
@@ -228,37 +234,41 @@ def h1_basis(X: SimplicialComplex) -> list[Cochain1]:
     return basis
 
 
-def restriction_is_zero(c: Cochain1, S) -> bool:
-    """True iff c restricted to the induced subcomplex S is a coboundary.
+def potential_is_consistent(steps, W, modulus=None) -> bool:
+    """True iff a potential p on <W> has p(w) - p(v) = step on every edge.
 
-    Decided per connected component by spanning-tree holonomy: propagate
-    a potential along a BFS tree and check every remaining edge.
+    ``steps[v]`` lists (w, step) per oriented edge v -> w, the reverse edge
+    with the negated step.  Each vertex of <W> takes its potential from its
+    tree parent; the first edge that disagrees answers False.  ``modulus``
+    is the fiber for covers, 2 over Z2 and None over the integers.
     """
-    if isinstance(S, InducedSubcomplex):
-        sub = S
-    else:
-        sub = induced(c.complex, S)
-    w = sub.vertex_subset
-    adj = {v: [u for u in c.complex.adjacency().get(v, ()) if u in w] for v in w}
     potential = {}
-    z2 = c.ring == RING_Z2
-    for root in sorted(w):
+    for root in W:
         if root in potential:
             continue
         potential[root] = 0
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y not in potential:
-                    step = c.value(x, y)
-                    potential[y] = (potential[x] + step) % 2 if z2 else potential[x] + step
-                    queue.append(y)
-    for u, v in sub.edges():
-        want = potential[v] - potential[u]
-        if z2:
-            if c.value(u, v) != want % 2:
-                return False
-        elif c.value(u, v) != want:
-            return False
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            pv = potential[v]
+            for w, step in steps[v]:
+                if w in W:
+                    want = pv + step if modulus is None else (pv + step) % modulus
+                    have = potential.get(w)
+                    if have is None:
+                        potential[w] = want
+                        stack.append(w)
+                    elif have != want:
+                        return False
     return True
+
+
+def restriction_is_zero(c: Cochain1, S) -> bool:
+    """True iff c restricted to the induced subcomplex S is a coboundary.
+
+    The potential check restricted to S that also decides whether a cover
+    is trivial over S.
+    """
+    W = S.vertex_subset if isinstance(S, InducedSubcomplex) else S
+    return potential_is_consistent(c.step_table(), induced(c.complex, W).vertex_subset,
+                                   2 if c.ring == RING_Z2 else None)

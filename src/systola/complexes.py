@@ -221,10 +221,6 @@ class InducedSubcomplex:
     def faces(self, k: int) -> frozenset:
         return self.as_complex().faces(k)
 
-    def edges(self) -> frozenset:
-        w = self.vertex_subset
-        return frozenset(e for e in self.parent.faces(1) if e[0] in w and e[1] in w)
-
     def adjacency(self) -> dict:
         w = self.vertex_subset
         out = {v: () for v in w if self.parent.has_vertex(v)}

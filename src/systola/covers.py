@@ -18,6 +18,10 @@ a minimum circuit in a graph", SIAM J. Comput. 1978), so the systole is
 the least d(u) + d(v) + 1.  The tree spans every ball B(x, r), so the
 cover is trivial over the ball exactly when no defect has both ends
 within r, and the radius is the least max(d(u), d(v)) minus one.
+
+The block test of essentiality searches (is the cover trivial over <W>?)
+builds no graph: it is :func:`~systola.cochains.potential_is_consistent`
+restricted to W, mod N.  ``_mask_mixes_fibers`` only confirms the radius.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from .cochains import RING_Z, RING_Z2, Cochain1, is_cocycle
+from .cochains import RING_Z, RING_Z2, Cochain1, is_cocycle, potential_is_consistent
 from .complexes import SimplicialComplex
 from .errors import CocycleError, ParameterError, UnknownVertexError
 
@@ -282,6 +286,7 @@ def loop_norm(X: SimplicialComplex, xi: Cochain1, fiber: int = 2):
 def _mask_mixes_fibers(C: Cover, base_mask) -> bool:
     """Does the cover restricted over the masked vertex set connect sheets?
 
+    Used only to confirm the radius witness, independently of the scan.
     The masked subgraph is deck-invariant, so it suffices to compare each
     vertex's sheet-0 component label with its other sheets.
     """
@@ -305,17 +310,15 @@ def is_pi_inessential(C: Cover, W) -> bool:
     """True iff the cover restricts trivially over the subcomplex induced by W.
 
     Over every connected component of the induced subcomplex the preimage
-    must split into fiber-many sheets, each projecting bijectively; for a
-    cyclic deck action this is exactly the absence of sheet-mixing paths.
+    must split into fiber-many sheets, each projecting bijectively, that is,
+    the cocycle must be a coboundary mod the fiber there: one potential check.
     """
-    vidx = C.base.vertex_index()
-    mask = np.zeros(C.base.num_vertices, dtype=bool)
-    for v in W:
-        i = vidx.get(v)
-        if i is None:
-            raise UnknownVertexError(f"{v!r} is not a vertex of the base")
-        mask[i] = True
-    return not _mask_mixes_fibers(C, mask)
+    steps = C.cocycle.step_table()
+    W = W if isinstance(W, (set, frozenset)) else set(W)
+    if not steps.keys() >= W:
+        unknown = next(v for v in W if v not in steps)
+        raise UnknownVertexError(f"{unknown!r} is not a vertex of the base")
+    return potential_is_consistent(steps, W, C.fiber)
 
 
 def homotopy_triviality_radius(C: Cover):

@@ -4,12 +4,15 @@ Complex files: ``{"facets": [[int, ...], ...], "vertices": [int, ...]}``
 with every facet ascending and the facet list sorted; this is byte-stable
 under read/write round trips.  Cochain files: ``{"edges": [[u, v], ...],
 "values": [...]}`` aligned by index, edges sorted, covering every edge of
-the complex they belong to.
+the complex they belong to.  Loading validates every field: labels and
+values must be JSON integers (not floats or booleans), and malformed
+documents raise :class:`~systola.errors.ParameterError`.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 
 from .cochains import RING_Z, RING_Z2, Cochain1
@@ -22,6 +25,29 @@ def _require_int_labels(X: SimplicialComplex):
         raise ParameterError("serialization needs integer vertex labels")
 
 
+def _parse(text: str, kind: str) -> dict:
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParameterError(f"{kind} document is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ParameterError(f"{kind} document must be a JSON object")
+    return doc
+
+
+def _only_ints(items) -> bool:
+    # type(), not isinstance(): JSON true and false load as bools, which are ints
+    return set(map(type, items)) <= {int}
+
+
+def _label_lists(rows, field: str) -> list:
+    """``rows`` as a list of tuples of integer labels, or ParameterError."""
+    if (type(rows) is not list or not set(map(type, rows)) <= {list}
+            or not _only_ints(chain.from_iterable(rows))):
+        raise ParameterError(f"'{field}' must be a list of lists of integer labels")
+    return [tuple(r) for r in rows]
+
+
 def dumps_complex(X: SimplicialComplex) -> str:
     _require_int_labels(X)
     doc = {
@@ -32,12 +58,14 @@ def dumps_complex(X: SimplicialComplex) -> str:
 
 
 def loads_complex(text: str) -> SimplicialComplex:
-    doc = json.loads(text)
-    if not isinstance(doc, dict) or "facets" not in doc:
+    doc = _parse(text, "complex")
+    if "facets" not in doc:
         raise ParameterError("complex document needs a 'facets' field")
-    X = build_complex([tuple(f) for f in doc["facets"]])
+    X = build_complex(_label_lists(doc["facets"], "facets"))
     declared = doc.get("vertices")
     if declared is not None:
+        if type(declared) is not list or not _only_ints(declared):
+            raise ParameterError("'vertices' must be a list of integer labels")
         extra = set(declared) - set(X.vertices)
         if extra:
             raise ParameterError(
@@ -64,13 +92,25 @@ def dumps_cochain(c: Cochain1) -> str:
 
 
 def loads_cochain(text: str, X: SimplicialComplex, ring: str = RING_Z2) -> Cochain1:
-    doc = json.loads(text)
-    if not isinstance(doc, dict) or "edges" not in doc or "values" not in doc:
+    doc = _parse(text, "cochain")
+    if "edges" not in doc or "values" not in doc:
         raise ParameterError("cochain document needs 'edges' and 'values' fields")
-    edges = [tuple(e) for e in doc["edges"]]
+    edges = _label_lists(doc["edges"], "edges")
     values = doc["values"]
+    if type(values) is not list or not _only_ints(values):
+        raise ParameterError("cochain 'values' must be a list of integers")
     if len(edges) != len(values):
         raise ParameterError("'edges' and 'values' have different lengths")
+    if set(map(len, edges)) - {2}:
+        raise ParameterError("cochain 'edges' must be vertex pairs")
+    listed = {(u, v) if u < v else (v, u) for u, v in edges}
+    if len(listed) != len(edges):
+        raise ParameterError("cochain 'edges' lists an edge twice")
+    missing = X.faces(1) - listed
+    if missing:
+        raise ParameterError(
+            f"cochain 'edges' must cover every edge; {len(missing)} missing, "
+            f"e.g. {min(missing)!r}")
     return Cochain1(X, dict(zip(edges, values)), ring)
 
 

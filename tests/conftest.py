@@ -101,6 +101,30 @@ def brute_restriction_is_zero(cochain, W):
     return True
 
 
+def integer_restriction_is_zero(cochain, W):
+    """Oracle over the integers: relax p(v) = p(u) + c(u, v) over the edge
+    list of the induced subgraph until nothing changes, rooting each
+    untouched vertex at 0, then require every listed edge to agree."""
+    W = set(W)
+    edges = [(u, v) for u, v in cochain.complex.faces(1) if u in W and v in W]
+    p = {}
+    for root in sorted(W):
+        if root in p:
+            continue
+        p[root] = 0
+        changed = True
+        while changed:
+            changed = False
+            for u, v in edges:
+                if u in p and v not in p:
+                    p[v] = p[u] + cochain.value(u, v)
+                    changed = True
+                elif v in p and u not in p:
+                    p[u] = p[v] - cochain.value(u, v)
+                    changed = True
+    return all(p[v] - p[u] == cochain.value(u, v) for u, v in edges)
+
+
 def brute_cover_trivial_over(cover, W):
     """Oracle for pi-inessentiality: build the preimage subgraph explicitly
     and require every component to project injectively."""

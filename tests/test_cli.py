@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 import systola as sy
 from systola.cli import main
 
@@ -181,3 +183,39 @@ def test_env_threads_fallback(tmp_path, capsys, monkeypatch):
                      "--csv", str(csv_path))
     assert code == 0
     assert csv_path.exists()
+
+
+@pytest.mark.parametrize("complex_text, cochain_text", [
+    ('{"facets": [[0, 1], [0, 2], [1, 2]', None),
+    ('{"facets": [[1, "a"]]}', None),
+    (None, '{"edges": [[0, 1], [0, 2], [1, 2]], "values": ["x", 0, 0]}'),
+    (None, '{"edges": [[0, 1], [0, 2], [1, 2]], "values": [1.7, 0, 0]}'),
+    (None, '{"edges": [[0, 1], [0, 2], [1, 2]], "values": [true, 0, 0]}'),
+    (None, '{"edges": [[0, 1], [1, 2]], "values": [1, 0]}'),
+    (None, '{"edges": [[0, 1], [0, 2], [1, 2]'),
+])
+def test_malformed_inputs_exit_1(tmp_path, capsys, complex_text, cochain_text):
+    # on a 3-cycle every cochain is a cocycle, so only the loader can refuse
+    cx, xi = tmp_path / "t.cx", tmp_path / "t.cocycle"
+    cx.write_text(complex_text or '{"facets": [[0, 1], [0, 2], [1, 2]]}')
+    xi.write_text(cochain_text or '{"edges": [[0, 1], [0, 2], [1, 2]], "values": [0, 0, 0]}')
+    code, out, err = run(capsys, "systole", str(cx), "--cocycle", str(xi))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, env", [
+    (("--threads", "-3"), None),
+    (("--threads", "0"), None),
+    ((), "0"),
+    ((), "-2"),
+    ((), "two"),
+    ((), "1.5"),
+    ((), ""),
+])
+def test_verify_all_rejects_bad_thread_counts(capsys, monkeypatch, argv, env):
+    if env is not None:
+        monkeypatch.setenv("SYSTOLA_THREADS", env)
+    code, out, err = run(capsys, "verify-all", "--n-max", "1", "--s-max", "3", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: ") and "thread" in err.lower()

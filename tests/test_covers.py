@@ -1,14 +1,18 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import systola as sy
 from systola.cochains import vertex_coboundary
+from systola.covers import _mask_mixes_fibers
 from systola.errors import CocycleError, ParameterError, UnknownVertexError
 
-from conftest import brute_cover_trivial_over, brute_homotopy_radius
+from conftest import brute_cover_trivial_over, brute_homotopy_radius, \
+    integer_restriction_is_zero
 
 
 def _cycle(m):
@@ -253,6 +257,49 @@ def test_systole_and_radius_agree_with_total_space_and_brute_force(case):
     assert sy.cover_systole(cov) == min(
         sy.edge_distance(T, (v, 0), (v, g)) for v in X.vertices for g in range(1, fiber))
     assert sy.homotopy_triviality_radius(cov) == brute_homotopy_radius(cov)
+
+
+@st.composite
+def _complex_cocycle_blocks(draw):
+    """A random complex on at most 9 vertices (a graph plus the triangles on
+    which the drawn values close up, maybe an isolated vertex) with a Z2,
+    Z3 or Z5 cocycle shifted by a random coboundary, and a random W."""
+    n = draw(st.integers(2, 9))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    fiber = draw(st.sampled_from((2, 3, 5)))
+    ring = sy.RING_Z2 if fiber == 2 else sy.RING_Z
+    vals = {e: draw(st.integers(0, fiber - 1)) for e in sorted(edges)}
+    triangles = [t for t in itertools.combinations(range(n), 3)
+                 if {t[:2], t[1:], t[::2]} <= vals.keys()]
+    faces = [list(e) for e in edges]
+    for a, b, c in draw(st.lists(st.sampled_from(triangles), unique=True)) if triangles else ():
+        d = vals[(a, b)] + vals[(b, c)] - vals[(a, c)]
+        if (d % 2 if ring == sy.RING_Z2 else d) == 0:
+            faces.append([a, b, c])
+    if draw(st.booleans()):
+        faces.append([n])
+    X = sy.build_complex(faces)
+    g = {v: draw(st.integers(-fiber, fiber)) for v in X.vertices}
+    xi = sy.Cochain1(X, vals, ring) + vertex_coboundary(X, g, ring)
+    return X, xi, fiber, draw(st.sets(st.sampled_from(X.vertices)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_complex_cocycle_blocks())
+def test_block_test_agrees_with_preimage_components_and_restrictions(case):
+    X, xi, fiber, W = case
+    cov = sy.build_cover(X, xi, fiber)
+    trivial = sy.is_pi_inessential(cov, W)
+    assert trivial == brute_cover_trivial_over(cov, W)
+    vidx = X.vertex_index()
+    mask = np.zeros(X.num_vertices, dtype=bool)
+    mask[[vidx[v] for v in W]] = True
+    assert trivial == (not _mask_mixes_fibers(cov, mask))
+    if xi.ring == sy.RING_Z2:
+        assert sy.restriction_is_zero(xi, W) == trivial
+    else:
+        assert sy.restriction_is_zero(xi, W) == integer_restriction_is_zero(xi, W)
 
 
 def test_homology_radius(rp2, rp2_class):

@@ -90,6 +90,23 @@ def test_cover_relative_essentiality_of_rp2(rp2, rp2_class):
     assert all(sy.is_pi_inessential(cover, b) for b in verdict.witness.blocks)
 
 
+def test_cover_relative_search_makes_no_scipy_call(rp2, rp2_class, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("block tests must not call scipy")
+
+    monkeypatch.setattr(sy.covers, "connected_components", forbidden)
+    monkeypatch.setattr(sy.covers, "dijkstra", forbidden)
+    cover = sy.build_cover(rp2, rp2_class, 2)
+    assert [sy.combinatorial_essentiality(rp2, n, cover=cover).status
+            for n in (1, 2, 3)] == ["essential", "essential", "not-essential"]
+    P = sy.gen_polygon(7)
+    cover = sy.build_cover(P, sy.Cochain1(P, {(0, 1): 1}, sy.RING_Z), 3)
+    assert [sy.combinatorial_essentiality(P, n, cover=cover).status
+            for n in (1, 2)] == ["essential", "not-essential"]
+    assert sy.combinatorial_essentiality(
+        P, 2, cover=cover, mode="heuristic", seed=1).status == "not-essential"
+
+
 def test_higher_dimension_without_cover_rejected(rp2):
     with pytest.raises(ParameterError):
         sy.combinatorial_essentiality(rp2, 2)

@@ -65,3 +65,57 @@ def test_generated_quotient_round_trip(tmp_path):
     xi2 = sy.read_cochain(xpath, Q2)
     assert Q2 == Q
     assert sy.loop_norm(Q2, xi2) == 4
+
+
+# Each malformed document must fail with ParameterError, never with a raw
+# JSON, value or type error, and never be coerced silently.
+_TRIANGLE = '{"facets": [[0, 1, 2]], "vertices": [0, 1, 2]}'
+_EDGES = '[[0, 1], [0, 2], [1, 2]]'
+
+
+def test_malformed_json_rejected():
+    with pytest.raises(ParameterError, match="not valid JSON"):
+        sy.loads_complex('{"facets": [[0, 1]')
+    with pytest.raises(ParameterError, match="not valid JSON"):
+        sy.loads_cochain('{"edges": ', sy.gen_polygon(3))
+
+
+def test_non_object_document_rejected():
+    with pytest.raises(ParameterError):
+        sy.loads_complex('[[0, 1]]')
+
+
+@pytest.mark.parametrize("value", ['"x"', "1.7", "1.0", "true", "null"])
+def test_non_integer_cochain_value_rejected(value):
+    X = sy.loads_complex(_TRIANGLE)
+    text = f'{{"edges": {_EDGES}, "values": [{value}, 0, 0]}}'
+    with pytest.raises(ParameterError, match="integers"):
+        sy.loads_cochain(text, X)
+
+
+@pytest.mark.parametrize("doc", [
+    '{"facets": [[1, "a"]]}',
+    '{"facets": [[1, 2.0]]}',
+    '{"facets": [[true, 2]]}',
+    '{"facets": [[1, 2]], "vertices": [1, "2"]}',
+    '{"facets": "12"}',
+])
+def test_non_integer_vertex_labels_rejected(doc):
+    with pytest.raises(ParameterError, match="integer labels"):
+        sy.loads_complex(doc)
+
+
+def test_non_integer_cochain_edge_labels_rejected():
+    X = sy.loads_complex(_TRIANGLE)
+    with pytest.raises(ParameterError, match="integer labels"):
+        sy.loads_cochain('{"edges": [[0, "a"], [0, 2], [1, 2]], "values": [1, 0, 0]}', X)
+
+
+def test_partial_cochain_edge_list_rejected():
+    X = sy.loads_complex(_TRIANGLE)
+    with pytest.raises(ParameterError, match="cover every edge"):
+        sy.loads_cochain('{"edges": [[0, 1], [1, 2]], "values": [1, 1]}', X)
+    with pytest.raises(ParameterError, match="twice"):
+        sy.loads_cochain('{"edges": [[0, 1], [1, 0], [1, 2]], "values": [1, 1, 0]}', X)
+    with pytest.raises(ParameterError, match="pairs"):
+        sy.loads_cochain('{"edges": [[0, 1], [0, 2], [0, 1, 2]], "values": [1, 1, 0]}', X)
