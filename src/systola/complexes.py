@@ -72,13 +72,6 @@ class SimplicialComplex:
             self._faces[k] = frozenset(acc)
         return self._faces[k]
 
-    def edges(self) -> frozenset:
-        return self.faces(1)
-
-    def all_faces(self):
-        for k in range(self.dim + 1):
-            yield from self.faces(k)
-
     def has_vertex(self, v) -> bool:
         return bool(self._facets_of().get(v))
 
@@ -220,13 +213,6 @@ class InducedSubcomplex:
 
     def faces(self, k: int) -> frozenset:
         return self.as_complex().faces(k)
-
-    def adjacency(self) -> dict:
-        w = self.vertex_subset
-        out = {v: () for v in w if self.parent.has_vertex(v)}
-        for v in out:
-            out[v] = tuple(u for u in self.parent.adjacency()[v] if u in w)
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, InducedSubcomplex):

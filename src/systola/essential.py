@@ -3,8 +3,12 @@
 Two decidable inessentiality tests are supported: the forest criterion
 for 1-dimensional complexes (a subgraph maps trivially to the ambient
 fundamental group iff every component is a tree) and cover-relative
-triviality for an explicitly supplied covering.  Exhaustive search
-enumerates set partitions as restricted-growth strings; the heuristic
+triviality for an explicitly supplied covering.  Both are one potential
+check restricted to the block: the forest criterion uses the free integer
+cochain, 2**i on the i-th sorted edge, which is a coboundary on <W>
+exactly when <W> has no cycle.  Both are monotone (a block that fails
+makes every superset fail), so exhaustive search over restricted-growth
+strings tests each block as it grows and prunes there.  The heuristic
 search only ever produces witnesses, never essentiality claims.
 """
 
@@ -12,9 +16,9 @@ from __future__ import annotations
 
 import random
 import time
-from collections import deque
 from dataclasses import dataclass
 
+from .cochains import RING_Z, Cochain1, potential_is_consistent
 from .complexes import SimplicialComplex
 from .covers import Cover, is_pi_inessential
 from .errors import CapacityError, DimensionError, ParameterError, UnknownVertexError
@@ -75,36 +79,13 @@ class EssentialityVerdict:
         return "not-disproved"
 
 
-def _forest(adjacency, members) -> bool:
-    members = set(members)
-    seen = set()
-    for root in members:
-        if root in seen:
-            continue
-        seen.add(root)
-        n_vertices = 1
-        n_half_edges = 0
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            for y in adjacency.get(x, ()):
-                if y not in members:
-                    continue
-                n_half_edges += 1
-                if y not in seen:
-                    seen.add(y)
-                    n_vertices += 1
-                    queue.append(y)
-        if n_half_edges // 2 != n_vertices - 1:
-            return False
-    return True
-
-
 def is_inessential_graph(X: SimplicialComplex, W) -> bool:
     """Forest criterion: true iff every component of <W> is a tree.
 
     Only valid for complexes of dimension at most 1, where subgraph
-    inclusions inject fundamental groups.
+    inclusions inject fundamental groups.  Decided as the potential check
+    of the free cochain on <W>: a signed sum of distinct powers of two is
+    never 0, so a potential exists iff <W> has no cycle.
     """
     if X.dim > 1:
         raise DimensionError("forest criterion applies to 1-dimensional complexes")
@@ -112,7 +93,7 @@ def is_inessential_graph(X: SimplicialComplex, W) -> bool:
     for v in W:
         if not X.has_vertex(v):
             raise UnknownVertexError(f"{v!r} is not a vertex of the complex")
-    return _forest(X.adjacency(), W)
+    return _block_test(X, None)(W)
 
 
 def subdivision_vertex_lower_bound(n: int) -> int:
@@ -126,23 +107,22 @@ def _block_test(X, cover):
     if cover is not None:
         if not isinstance(cover, Cover):
             raise ParameterError("cover must be a Cover instance")
-        return lambda block: is_pi_inessential(cover, block), False
+        return lambda block: is_pi_inessential(cover, block)
     if X.dim <= 1:
-        adjacency = X.adjacency()
-        return lambda block: _forest(adjacency, block), True
+        free = {e: 1 << i for i, e in enumerate(sorted(X.faces(1)))}
+        steps = Cochain1(X, free, RING_Z).step_table()
+        return lambda block: potential_is_consistent(steps, block)
     raise ParameterError(
         "essentiality for complexes of dimension > 1 needs an explicit cover")
 
 
-def _exhaustive(vertices, n, test, prune_partial):
+def _exhaustive(vertices, n, test):
     m = len(vertices)
     blocks: list[set] = []
 
     def rec(i):
         if i == m:
-            if all(test(b) for b in blocks):
-                return [frozenset(b) for b in blocks]
-            return None
+            return [frozenset(b) for b in blocks]
         v = vertices[i]
         limit = min(len(blocks) + 1, n)
         for j in range(limit):
@@ -151,8 +131,7 @@ def _exhaustive(vertices, n, test, prune_partial):
                 blocks.append({v})
             else:
                 blocks[j].add(v)
-            ok = not prune_partial or test(blocks[j])
-            if ok:
+            if test(blocks[j]):
                 found = rec(i + 1)
                 if found is not None:
                     return found
@@ -171,16 +150,23 @@ def _heuristic(vertices, n, test, rng, deadline, max_rounds):
     while rounds < max_rounds and time.monotonic() < deadline:
         rounds += 1
         assign = [rng.randrange(n) for _ in range(m)]
+        ok = {}  # label -> verdict; a move can only change its two labels
         for _ in range(4 * m):
             groups = {}
             for v, a in zip(vertices, assign):
                 groups.setdefault(a, set()).add(v)
-            bad = [a for a, b in groups.items() if not test(b)]
+            for a, b in groups.items():
+                if a not in ok:
+                    ok[a] = test(b)
+            bad = [a for a in groups if not ok[a]]
             if not bad:
                 return [frozenset(b) for b in groups.values()]
             a = rng.choice(bad)
             movers = [i for i in range(m) if assign[i] == a]
-            assign[rng.choice(movers)] = rng.randrange(n)
+            dest = rng.randrange(n)
+            assign[rng.choice(movers)] = dest
+            del ok[a]
+            ok.pop(dest, None)
             if time.monotonic() >= deadline:
                 break
     return None
@@ -196,35 +182,33 @@ def combinatorial_essentiality(X: SimplicialComplex, n: int,
     Exhaustive mode enumerates restricted-growth partitions (capped at
     14 vertices) and is a proof either way; heuristic mode searches for
     a witness within the time budget and never claims essentiality.
-    For the forest criterion, partial blocks are pruned as soon as they
-    acquire a cycle; cover-relative blocks are tested once complete.
+    Both criteria are monotone under shrinking a block, so the exhaustive
+    search tests each block as it grows and prunes a branch at the first
+    block that fails; the forest test is the potential check of the free
+    cochain, the cover test that of the cocycle mod the fiber.
     """
     if n < 1:
         raise ParameterError("n must be at least 1")
     if cover is not None and cover.base is not X:
         raise ParameterError("cover does not cover this complex")
-    test, prune_partial = _block_test(X, cover)
+    test = _block_test(X, cover)
     vertices = list(X.vertices)
     if mode == "exhaustive":
         if len(vertices) > MAX_EXHAUSTIVE_VERTICES:
             raise CapacityError(
                 f"exhaustive search capped at {MAX_EXHAUSTIVE_VERTICES} vertices "
                 f"({len(vertices)} given); use the heuristic mode")
-        found = _exhaustive(vertices, n, test, prune_partial)
-        if found is None:
-            return EssentialityVerdict(True, None, "exhaustive", True)
-        witness = VertexPartition(tuple(found))
-        if not all(test(b) for b in witness.blocks):
-            raise ParameterError("internal error: unsound witness")
-        return EssentialityVerdict(False, witness, "exhaustive", True)
-    if mode == "heuristic":
+        found = _exhaustive(vertices, n, test)
+    elif mode == "heuristic":
         rng = random.Random(seed)
         deadline = time.monotonic() + budget_ms / 1000.0
         found = _heuristic(vertices, n, test, rng, deadline, max_rounds=10_000)
-        if found is None:
-            return EssentialityVerdict(None, None, "heuristic", False)
-        witness = VertexPartition(tuple(found))
-        if not all(test(b) for b in witness.blocks):
-            raise ParameterError("internal error: unsound witness")
-        return EssentialityVerdict(False, witness, "heuristic", False)
-    raise ParameterError(f"unknown mode {mode!r}")
+    else:
+        raise ParameterError(f"unknown mode {mode!r}")
+    complete = mode == "exhaustive"
+    if found is None:
+        return EssentialityVerdict(True if complete else None, None, mode, complete)
+    witness = VertexPartition(tuple(found))
+    if not all(test(b) for b in witness.blocks):
+        raise ParameterError("internal error: unsound witness")
+    return EssentialityVerdict(False, witness, mode, complete)

@@ -5,8 +5,8 @@ with every facet ascending and the facet list sorted; this is byte-stable
 under read/write round trips.  Cochain files: ``{"edges": [[u, v], ...],
 "values": [...]}`` aligned by index, edges sorted, covering every edge of
 the complex they belong to.  Loading validates every field: labels and
-values must be JSON integers (not floats or booleans), and malformed
-documents raise :class:`~systola.errors.ParameterError`.
+values must be JSON integers (not floats or booleans), Z2 values 0 or 1,
+and malformed documents raise :class:`~systola.errors.ParameterError`.
 """
 
 from __future__ import annotations
@@ -99,6 +99,8 @@ def loads_cochain(text: str, X: SimplicialComplex, ring: str = RING_Z2) -> Cocha
     values = doc["values"]
     if type(values) is not list or not _only_ints(values):
         raise ParameterError("cochain 'values' must be a list of integers")
+    if ring == RING_Z2 and not set(values) <= {0, 1}:
+        raise ParameterError("Z2 cochain 'values' must be 0 or 1")
     if len(edges) != len(values):
         raise ParameterError("'edges' and 'values' have different lengths")
     if set(map(len, edges)) - {2}:

@@ -191,6 +191,7 @@ def test_env_threads_fallback(tmp_path, capsys, monkeypatch):
     (None, '{"edges": [[0, 1], [0, 2], [1, 2]], "values": ["x", 0, 0]}'),
     (None, '{"edges": [[0, 1], [0, 2], [1, 2]], "values": [1.7, 0, 0]}'),
     (None, '{"edges": [[0, 1], [0, 2], [1, 2]], "values": [true, 0, 0]}'),
+    (None, '{"edges": [[0, 1], [0, 2], [1, 2]], "values": [2, 0, 0]}'),
     (None, '{"edges": [[0, 1], [1, 2]], "values": [1, 0]}'),
     (None, '{"edges": [[0, 1], [0, 2], [1, 2]'),
 ])

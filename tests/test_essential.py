@@ -1,9 +1,16 @@
+import itertools
+import random
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import systola as sy
 from systola.errors import CapacityError, DimensionError, ParameterError
+from systola.essential import _heuristic
 
-from conftest import graph_girth
+from conftest import brute_cover_trivial_over, graph_girth, simple_cycles
 
 
 def test_forest_criterion_cases():
@@ -135,6 +142,117 @@ def test_heuristic_determinism_same_seed():
     a = sy.combinatorial_essentiality(k7, 4, mode="heuristic", seed=9)
     b = sy.combinatorial_essentiality(k7, 4, mode="heuristic", seed=9)
     assert a.witness.blocks == b.witness.blocks
+
+
+# Seeded heuristic witnesses, pinned so that a change in the order of its
+# random draws shows; the RP^3 ones as each vertex's block index.
+_RP3_S5_WITNESSES = (
+    "0100230301000300100113223001310330020230002100002223102312031302221130013110131312320",
+    "0010122231202300130100002200221313221020310002010102022311020323202010333031211230231",
+    "0120110111223231002322111101112202213020220232222122331323321123230100001310110200203",
+)
+
+
+def test_heuristic_witnesses_are_pinned():
+    k7 = sy.gen_named("complete-7")
+    for seed, blocks in ((1, [[1, 5], [2, 4], [3], [6, 7]]),
+                         (9, [[1], [2, 7], [3, 6], [4, 5]])):
+        v = sy.combinatorial_essentiality(k7, 4, mode="heuristic", seed=seed)
+        assert [sorted(b) for b in v.witness.blocks] == blocks
+    Q, xi = sy.quotient(sy.gen_symmetric_sphere(3, 5))
+    cover = sy.build_cover(Q, xi, 2)
+    for seed, labels in enumerate(_RP3_S5_WITNESSES):
+        v = sy.combinatorial_essentiality(Q, 4, cover=cover, mode="heuristic",
+                                          budget_ms=600_000, seed=seed)
+        blocks = v.witness.blocks
+        assert "".join(str(next(i for i, b in enumerate(blocks) if x in b))
+                       for x in Q.vertices) == labels
+
+
+class _CountingRandom(random.Random):
+    def __init__(self, seed):
+        self.draws = []
+        super().__init__(seed)
+
+    def randrange(self, *args):
+        self.draws.append(super().randrange(*args))
+        return self.draws[-1]
+
+
+def test_heuristic_retests_only_the_two_blocks_a_move_touches():
+    k7 = sy.gen_named("complete-7")
+    vertices = list(k7.vertices)
+    tested = []
+
+    def test(block):
+        tested.append(frozenset(block))
+        return sy.is_inessential_graph(k7, block)
+
+    rng = _CountingRandom(1)
+    # K7 is 3-essential, so the one round runs all its 4m moves
+    assert _heuristic(vertices, 3, test, rng, time.monotonic() + 600, max_rounds=1) is None
+    m = len(vertices)
+    moves = len(rng.draws) - m  # one randrange per initial label, then one per move
+    assert moves == 4 * m
+    assert len(tested) <= len(set(rng.draws[:m])) + 2 * moves
+
+
+@st.composite
+def _search_cases(draw):
+    """A graph on at most 8 vertices, or a complex with the triangles on
+    which a drawn Z2 or Z3 cocycle closes up plus its cover, and n <= 3."""
+    k = draw(st.integers(1, 8))
+    pairs = list(itertools.combinations(range(k), 2))
+    density = draw(st.integers(1, 10))
+    edges = [e for e in pairs if draw(st.integers(1, 10)) <= density]
+    faces = [list(e) for e in edges] + [[v] for v in range(k)]
+    n = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        return sy.build_complex(faces), None, n
+    fiber = draw(st.sampled_from((2, 3)))
+    ring = sy.RING_Z2 if fiber == 2 else sy.RING_Z
+    vals = {e: draw(st.integers(0, fiber - 1)) for e in sorted(edges)}
+    sums = {t: vals[t[:2]] + vals[t[1:]] - vals[t[::2]]
+            for t in itertools.combinations(range(k), 3) if {t[:2], t[1:], t[::2]} <= vals.keys()}
+    closed = [t for t, d in sums.items() if (d % 2 if ring == sy.RING_Z2 else d) == 0]
+    faces += [list(t) for t in draw(st.lists(st.sampled_from(closed), unique=True))] if closed else []
+    X = sy.build_complex(faces)
+    return X, sy.build_cover(X, sy.Cochain1(X, vals, ring), fiber), n
+
+
+def _first_witness_by_brute_force(vertices, n, trivial):
+    """The first partition, in the order of restricted-growth strings with
+    labels below n, whose every block passes ``trivial``; None if none does."""
+    for labels in itertools.product(range(n), repeat=len(vertices)):
+        if any(a > max(labels[:i], default=-1) + 1 for i, a in enumerate(labels)):
+            continue
+        blocks = tuple(frozenset(v for v, a in zip(vertices, labels) if a == j)
+                       for j in range(max(labels) + 1))
+        if all(trivial(b) for b in blocks):
+            return blocks
+    return None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_search_cases(), st.data())
+def test_exhaustive_search_agrees_with_brute_force_partitions(case, data):
+    X, cover, n = case
+    adj = X.adjacency()
+    verdicts = {}
+
+    def trivial(block):
+        if block not in verdicts:
+            verdicts[block] = (not simple_cycles(adj, block) if cover is None
+                               else brute_cover_trivial_over(cover, block))
+        return verdicts[block]
+
+    expected = _first_witness_by_brute_force(list(X.vertices), n, trivial)
+    v = sy.combinatorial_essentiality(X, n, cover=cover)
+    assert v.essential == (expected is None)
+    assert (v.witness.blocks if v.witness else None) == expected
+    if cover is None:
+        W = data.draw(st.sets(st.sampled_from(X.vertices)))
+        assert sy.is_inessential_graph(X, W) == (not simple_cycles(adj, W))
 
 
 def test_vertex_count_consistency_with_systole_bound():

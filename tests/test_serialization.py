@@ -93,6 +93,16 @@ def test_non_integer_cochain_value_rejected(value):
         sy.loads_cochain(text, X)
 
 
+@pytest.mark.parametrize("value", [2, -1, 3])
+def test_z2_cochain_value_outside_0_1_rejected(value):
+    # a Z cochain written by dumps_cochain must not read back over Z2 reduced mod 2
+    X = sy.gen_polygon(4)
+    text = sy.dumps_cochain(sy.Cochain1(X, {(0, 1): value}, sy.RING_Z))
+    with pytest.raises(ParameterError, match="0 or 1"):
+        sy.loads_cochain(text, X)
+    assert sy.loads_cochain(text, X, sy.RING_Z).values == {(0, 1): value}
+
+
 @pytest.mark.parametrize("doc", [
     '{"facets": [[1, "a"]]}',
     '{"facets": [[1, 2.0]]}',
