@@ -98,23 +98,13 @@ class SimplicialComplex:
 
     def components(self) -> list:
         """Connected components of the 1-skeleton as frozensets of vertices."""
-        adj = self.adjacency()
         seen = set()
         out = []
         for root in self.vertices:
-            if root in seen:
-                continue
-            comp = {root}
-            queue = deque([root])
-            seen.add(root)
-            while queue:
-                x = queue.popleft()
-                for y in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        comp.add(y)
-                        queue.append(y)
-            out.append(frozenset(comp))
+            if root not in seen:
+                comp = frozenset(_bfs(self, root))
+                seen |= comp
+                out.append(comp)
         return out
 
     def euler_characteristic(self) -> int:
@@ -152,6 +142,22 @@ class SimplicialComplex:
     def __repr__(self):
         return (f"SimplicialComplex(dim={self.dim}, vertices={self.num_vertices}, "
                 f"facets={len(self.facets)})")
+
+
+def _bfs(X: SimplicialComplex, x, cutoff=None) -> dict:
+    """Vertex -> edge distance from x, for the vertices within ``cutoff``."""
+    adj = X.adjacency()
+    dist = {x: 0}
+    queue = deque([x])
+    while queue:
+        u = queue.popleft()
+        if cutoff is not None and dist[u] >= cutoff:
+            continue
+        for w in adj[u]:
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
 
 
 def build_complex(facets) -> SimplicialComplex:

@@ -6,28 +6,31 @@ lift consistently, so the total space is again a simplicial complex with
 vertices ``(v, sheet)``, built on first read.
 
 BFS utilities (:func:`edge_distance`, :func:`ball`, :func:`sphere`) are
-plain Python.  The systole and the homotopy triviality radius come from
-one scan with one BFS tree per base vertex x, taken from scipy's
-compiled ``dijkstra``.  Summing the cocycle along the tree gives a
-potential p_x, and an edge uv is a *defect* when xi(u, v) differs from
-p_x(v) - p_x(u) mod N.  Every defect closes a loop x -> u -> v -> x of
-length d(u) + d(v) + 1 with nontrivial holonomy, and when x lies on a
-shortest such loop, one of its edges is a defect with d(u) + d(v) + 1 at
-most its length (the minimum-circuit argument of Itai and Rodeh, "Finding
-a minimum circuit in a graph", SIAM J. Comput. 1978), so the systole is
-the least d(u) + d(v) + 1.  The tree spans every ball B(x, r), so the
-cover is trivial over the ball exactly when no defect has both ends
-within r, and the radius is the least max(d(u), d(v)) minus one.
+plain Python.  The systole is one compiled BFS (scipy's ``dijkstra``) in
+the 1-skeleton of the total space, from the sheet-0 lift of every base
+vertex: a closed base walk at x with holonomy g lifts to a path of the
+same length from (x, 0) to (x, g), and every such path projects to one,
+so the systole L is the least such distance.  The homotopy triviality
+radius is floor(L/2) - 1 (inf when L is):
+
+* A shortest nontrivial loop through x lies in B(x, floor(L/2)), so that
+  ball is essential.
+* The BFS tree of x spans every ball B(x, r).  If the cover is nontrivial
+  over the ball, some edge uv of the ball differs from the tree's
+  potential, and x -> u -> v -> x is a nontrivial closed walk of length
+  at most 2r + 1, so r >= floor(L/2).
+
+A base vertex x that attains L is therefore a witness centre: its loop
+lies in B(x, r + 1), which ``_mask_mixes_fibers`` confirms independently.
 
 The block test of essentiality searches (is the cover trivial over <W>?)
 builds no graph: it is :func:`~systola.cochains.potential_is_consistent`
-restricted to W, mod N.  ``_mask_mixes_fibers`` only confirms the radius.
+restricted to W, mod N.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,12 +38,12 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .cochains import RING_Z, RING_Z2, Cochain1, is_cocycle, potential_is_consistent
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, _bfs
 from .errors import CocycleError, ParameterError, UnknownVertexError
 
 INFINITY = math.inf
 
-# cells per (source, edge) array in one chunk of the holonomy scan
+# cells per (source, total vertex) distance array in one chunk of the scan
 _SCAN_CELLS = 1 << 20
 
 
@@ -57,7 +60,7 @@ class BallProfile:
 class Cover:
     """A double or cyclic covering complex with its deck action."""
 
-    __slots__ = ("base", "cocycle", "fiber", "kind", "_total", "_arrays", "_scan")
+    __slots__ = ("base", "cocycle", "fiber", "kind", "_total", "_graph", "_scan")
 
     def __init__(self, base, cocycle, fiber):
         self.base = base
@@ -65,7 +68,7 @@ class Cover:
         self.fiber = fiber
         self.kind = "double" if fiber == 2 else "cyclic"
         self._total = None
-        self._arrays = None
+        self._graph = None
         self._scan = None
 
     @property
@@ -102,32 +105,24 @@ class Cover:
 
     # -- compiled-graph plumbing ----------------------------------------
 
-    def _edge_arrays(self):
-        """Index arrays for base edges, their shifts and their fiber lifts.
+    def _total_graph(self):
+        """The total space's 1-skeleton as a cached CSR matrix.
 
-        Cover edges come in fiber-size groups aligned with the base edge
-        list, so a mask on base edges expands with ``np.repeat``.
+        ``(v, sheet)`` is row ``v·F + sheet``, with v the base vertex index;
+        each edge is stored once, so scipy reads it with ``directed=False``.
         """
-        if self._arrays is not None:
-            return self._arrays
-        F = self.fiber
-        vidx = self.base.vertex_index()
-        nv = len(vidx)
-        base_edges = sorted(self.base.faces(1))
-        eu = np.fromiter((vidx[e[0]] for e in base_edges), dtype=np.int64,
-                         count=len(base_edges))
-        ev = np.fromiter((vidx[e[1]] for e in base_edges), dtype=np.int64,
-                         count=len(base_edges))
-        shift = np.fromiter((self.cocycle.value(*e) % F for e in base_edges),
-                            dtype=np.int64, count=len(base_edges))
-        sheets = np.arange(F, dtype=np.int64)
-        cu = (eu[:, None] * F + sheets[None, :]).ravel()
-        cv = (ev[:, None] * F + (sheets[None, :] + shift[:, None]) % F).ravel()
-        base_csr = sparse.coo_matrix(
-            (np.ones(len(eu), dtype=np.int8), (eu, ev)), shape=(nv, nv)
-        ).tocsr()
-        self._arrays = (eu, ev, shift, cu, cv, base_csr)
-        return self._arrays
+        if self._graph is None:
+            F = self.fiber
+            vidx = self.base.vertex_index()
+            edges = np.array([(vidx[u], vidx[v], self.cocycle.value(u, v) % F)
+                              for u, v in self.base.faces(1)], dtype=np.int64).reshape(-1, 3)
+            sheets = np.arange(F)
+            rows = (edges[:, :1] * F + sheets).ravel()
+            cols = (edges[:, 1:2] * F + (sheets + edges[:, 2:]) % F).ravel()
+            n = self.base.num_vertices * F
+            self._graph = sparse.csr_matrix(
+                (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
+        return self._graph
 
 
 def build_cover(X: SimplicialComplex, xi: Cochain1, fiber: int = 2) -> Cover:
@@ -157,19 +152,9 @@ def _require_vertex(X, x):
         raise UnknownVertexError(f"{x!r} is not a vertex of the complex")
 
 
-def _bfs(X, x, cutoff=None):
-    adj = X.adjacency()
-    dist = {x: 0}
-    queue = deque([x])
-    while queue:
-        u = queue.popleft()
-        if cutoff is not None and dist[u] >= cutoff:
-            continue
-        for w in adj[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
+def _require_radius(r):
+    if r < 0:
+        raise ParameterError(f"radius must be at least 0, got {r}")
 
 
 def edge_distance(X: SimplicialComplex, x, y):
@@ -183,12 +168,14 @@ def edge_distance(X: SimplicialComplex, x, y):
 def ball(X: SimplicialComplex, x, i: int) -> frozenset:
     """Vertices at edge-distance at most i from x."""
     _require_vertex(X, x)
+    _require_radius(i)
     return frozenset(_bfs(X, x, cutoff=i))
 
 
 def sphere(X: SimplicialComplex, x, i: int) -> frozenset:
     """Vertices at edge-distance exactly i from x."""
     _require_vertex(X, x)
+    _require_radius(i)
     return frozenset(v for v, d in _bfs(X, x, cutoff=i).items() if d == i)
 
 
@@ -198,6 +185,7 @@ def ball_profile(X: SimplicialComplex, x, r_max: int | None = None) -> BallProfi
     dist = _bfs(X, x)
     top = max(dist.values())
     if r_max is not None:
+        _require_radius(r_max)
         top = min(top, r_max)
     sphere_sizes = [0] * (top + 1)
     for d in dist.values():
@@ -214,50 +202,29 @@ def ball_profile(X: SimplicialComplex, x, r_max: int | None = None) -> BallProfi
 # -- systole and triviality radii ----------------------------------------
 
 def _holonomy_scan(C: Cover):
-    """(systole, radius, centre) by the defect scan of the module docstring.
+    """(systole, radius, centre) by the total-space BFS of the module docstring.
 
-    ``centre`` is the base index of a source attaining the radius, or None
-    when no edge is a defect.  Sources go in chunks of ``_SCAN_CELLS //
-    max(E, V)`` so the per-chunk (source, edge) arrays stay small.
+    ``centre`` is the index of the first base vertex attaining the systole,
+    or None for a trivial cover.  Sources go in chunks of ``_SCAN_CELLS //
+    (V·F)`` so each chunk's distance array stays small.
     """
     if C._scan is not None:
         return C._scan
-    eu, ev, shift, _, _, base_csr = C._edge_arrays()
+    graph = C._total_graph()
     F = C.fiber
     nv = C.base.num_vertices
-    # narrowest signed dtype for potentials and their differences (> -2F)
-    hol = np.min_scalar_type(-2 * F)
-    # directed steps a -> b keyed by a * nv + b, with their holonomy mod F
-    keys = np.concatenate((eu * nv + ev, ev * nv + eu))
-    order = np.argsort(keys)
-    keys = keys[order]
-    steps = np.concatenate((shift, -shift % F)).astype(hol)[order]
-    shift = shift.astype(hol)
-    systole = radius = INFINITY
-    centre = None
-    chunk = max(1, _SCAN_CELLS // max(len(eu), nv, 1))
+    systole, centre = INFINITY, None
+    chunk = max(1, _SCAN_CELLS // max(nv * F, 1))
     for start in range(0, nv, chunk):
         sources = np.arange(start, min(start + chunk, nv))
-        dist, pred = dijkstra(base_csr, directed=False, unweighted=True,
-                              indices=sources, return_predecessors=True)
-        reached = np.isfinite(dist)
-        depth = np.where(reached, dist, 0).astype(np.int32)
-        pot = np.zeros(dist.shape, dtype=hol)
-        for k in range(1, int(depth.max(initial=0)) + 1):
-            rows, cols = np.nonzero(depth == k)
-            parents = pred[rows, cols].astype(np.int64)
-            step = steps[np.searchsorted(keys, parents * nv + cols)]
-            pot[rows, cols] = (pot[rows, parents] + step) % F
-        defect = reached[:, eu] & ((pot[:, ev] - pot[:, eu] - shift) % F != 0)
-        rows, cols = np.nonzero(defect)
-        if not len(rows):
-            continue
-        du, dv = depth[rows, eu[cols]], depth[rows, ev[cols]]
-        systole = min(systole, int((du + dv).min()) + 1)
-        far = np.maximum(du, dv)
-        i = int(far.argmin())
-        if far[i] - 1 < radius:
-            radius, centre = int(far[i]) - 1, int(sources[rows[i]])
+        dist = dijkstra(graph, directed=False, unweighted=True, indices=sources * F)
+        # dist((x, 0), (x, g)) for g != 0, least over g
+        rows = np.arange(len(sources))
+        loop = dist.reshape(len(sources), nv, F)[rows, sources, 1:].min(axis=1)
+        i = int(loop.argmin())
+        if loop[i] < systole:
+            systole, centre = int(loop[i]), int(sources[i])
+    radius = INFINITY if centre is None else systole // 2 - 1
     C._scan = (systole, radius, centre)
     return C._scan
 
@@ -265,8 +232,9 @@ def _holonomy_scan(C: Cover):
 def cover_systole(C: Cover):
     """Shortest loop in the base with a nontrivial deck holonomy.
 
-    Equals the minimum, over base vertices v and nonzero fiber shifts g,
-    of the total-space distance between (v, 0) and (v, g).  When the cover
+    Computed as the minimum, over base vertices v and nonzero fiber shifts
+    g, of the total-space distance between (v, 0) and (v, g), by one BFS
+    from every (v, 0).  When the cover
     is the universal cover of the base (as the generated quotients'
     double covers are for n >= 2) this is the edge-path systole of the
     base; in general it is only an upper bound for it.  A trivial cover
@@ -290,20 +258,12 @@ def _mask_mixes_fibers(C: Cover, base_mask) -> bool:
     The masked subgraph is deck-invariant, so it suffices to compare each
     vertex's sheet-0 component label with its other sheets.
     """
-    eu, ev, _, cu, cv, _ = C._edge_arrays()
     F = C.fiber
-    nv = C.base.num_vertices
-    kept = base_mask[eu] & base_mask[ev]
-    if not kept.any():
-        return False
-    ke = np.repeat(kept, F)
-    u, v = cu[ke], cv[ke]
-    g = sparse.coo_matrix((np.ones(len(u), dtype=np.int8), (u, v)),
-                          shape=(nv * F, nv * F))
-    _, labels = connected_components(g, directed=False)
-    lab = labels.reshape(nv, F)
-    mixed = (lab[:, 1:] == lab[:, :1]).any(axis=1)
-    return bool((mixed & base_mask).any())
+    keep = np.repeat(base_mask, F)
+    graph = C._total_graph()
+    _, labels = connected_components(graph[keep][:, keep], directed=False)
+    lab = labels.reshape(-1, F)
+    return bool((lab[:, 1:] == lab[:, :1]).any())
 
 
 def is_pi_inessential(C: Cover, W) -> bool:
@@ -324,14 +284,17 @@ def is_pi_inessential(C: Cover, W) -> bool:
 def homotopy_triviality_radius(C: Cover):
     """Largest r such that every ball B(x, r) is inessential for the cover.
 
-    Returns inf for a trivial cover.  Single-vertex balls span no edges,
-    so the radius is never below 0.  Before returning, the ball
-    B(x, r + 1) around a minimising centre is confirmed to mix sheets.
+    This is floor(L/2) - 1 for the cover systole L (see the module
+    docstring), and inf for a trivial cover.  Single-vertex balls span no
+    edges, so the radius is never below 0.  Before returning, the ball
+    B(x, r + 1) around a centre x attaining L is confirmed to mix sheets.
     """
     _, radius, centre = _holonomy_scan(C)
     if centre is not None:
-        base_csr = C._edge_arrays()[-1]
-        dist = dijkstra(base_csr, directed=False, unweighted=True, indices=[centre])[0]
+        F = C.fiber
+        total = dijkstra(C._total_graph(), directed=False, unweighted=True,
+                         indices=[centre * F])[0]
+        dist = total.reshape(-1, F).min(axis=1)
         if not _mask_mixes_fibers(C, dist <= radius + 1):
             raise ParameterError("internal error: unsound radius witness")
     return radius

@@ -181,7 +181,8 @@ def combinatorial_essentiality(X: SimplicialComplex, n: int,
 
     Exhaustive mode enumerates restricted-growth partitions (capped at
     14 vertices) and is a proof either way; heuristic mode searches for
-    a witness within the time budget and never claims essentiality.
+    a witness within the time budget (at least 1 ms, checked in both modes)
+    and never claims essentiality.
     Both criteria are monotone under shrinking a block, so the exhaustive
     search tests each block as it grows and prunes a branch at the first
     block that fails; the forest test is the potential check of the free
@@ -189,6 +190,8 @@ def combinatorial_essentiality(X: SimplicialComplex, n: int,
     """
     if n < 1:
         raise ParameterError("n must be at least 1")
+    if budget_ms < 1:
+        raise ParameterError("budget must be at least 1 ms")
     if cover is not None and cover.base is not X:
         raise ParameterError("cover does not cover this complex")
     test = _block_test(X, cover)

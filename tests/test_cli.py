@@ -84,6 +84,15 @@ def test_essential_command(tmp_path, capsys):
     assert sum(len(b) for b in doc["witness"]) == 7
 
 
+def test_essential_budget_below_one_ms_exits_1(tmp_path, capsys):
+    out = tmp_path / "k7.cx"
+    run(capsys, "gen", "complete", "--k", "7", "-o", str(out))
+    for budget in ("0", "-1"):
+        code, stdout, err = run(capsys, "essential", str(out), "--n", "4",
+                                "--heuristic", "--budget", budget)
+        assert code == 1 and stdout == "" and err.startswith("error:") and "budget" in err
+
+
 def test_subdivide_command(tmp_path, capsys):
     src, dst = tmp_path / "t.cx", tmp_path / "sd.cx"
     sy.write_complex(sy.build_complex([[1, 2, 3]]), src)

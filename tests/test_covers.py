@@ -96,6 +96,18 @@ def test_distance_across_components_is_infinite():
     assert sy.edge_distance(X, 1, 3) == sy.INFINITY
 
 
+def test_negative_radius_rejected():
+    X = _cycle(6)
+    for r in (-1, -2):
+        for f in (sy.ball, sy.sphere):
+            with pytest.raises(ParameterError, match="radius"):
+                f(X, 0, r)
+        with pytest.raises(ParameterError, match="radius"):
+            sy.ball_profile(X, 0, r_max=r)
+    assert sy.ball(X, 0, 0) == sy.sphere(X, 0, 0) == frozenset({0})
+    assert sy.ball_profile(X, 0, r_max=0).ball_sizes == (1,)
+
+
 def test_ball_of_radius_one_in_rp2_is_everything(rp2):
     assert sy.ball(rp2, 1, 1) == frozenset(rp2.vertices)
 
@@ -190,6 +202,18 @@ def test_homotopy_radius_examples(rp2, rp2_class):
     assert sy.homotopy_triviality_radius(cov) == 3
     trivial = sy.build_cover(X, sy.Cochain1(X, {}), 2)
     assert sy.homotopy_triviality_radius(trivial) == sy.INFINITY
+
+
+def test_unsound_radius_witness_is_caught(rp2, rp2_class):
+    # The witness check confirms that B(centre, r + 1) is essential, so it
+    # catches a radius below the true one; set the cached radius one too low.
+    X = _cycle(8)
+    for cov in (sy.build_cover(rp2, rp2_class, 2), sy.build_cover(X, _cycle_class(X), 2)):
+        sy.cover_systole(cov)
+        systole, radius, centre = cov._scan
+        cov._scan = (systole, radius - 1, centre)
+        with pytest.raises(ParameterError, match="unsound radius witness"):
+            sy.homotopy_triviality_radius(cov)
 
 
 def test_homotopy_radius_agrees_with_brute_force(quotient23):

@@ -137,6 +137,14 @@ def test_heuristic_finds_witness_but_never_claims_essential():
     assert not blocked.exhaustive_complete
 
 
+def test_budget_below_one_ms_rejected():
+    k7 = sy.gen_named("complete-7")
+    for budget in (0, -1):
+        for mode in ("heuristic", "exhaustive"):
+            with pytest.raises(ParameterError, match="budget"):
+                sy.combinatorial_essentiality(k7, 4, mode=mode, budget_ms=budget)
+
+
 def test_heuristic_determinism_same_seed():
     k7 = sy.gen_named("complete-7")
     a = sy.combinatorial_essentiality(k7, 4, mode="heuristic", seed=9)
