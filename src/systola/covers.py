@@ -21,7 +21,8 @@ radius is floor(L/2) - 1 (inf when L is):
   at most 2r + 1, so r >= floor(L/2).
 
 A base vertex x that attains L is therefore a witness centre: its loop
-lies in B(x, r + 1), which ``_mask_mixes_fibers`` confirms independently.
+lies in B(x, r + 1), which the plain BFS of the base gives and
+``_mask_mixes_fibers`` confirms independently.
 
 The block test of essentiality searches (is the cover trivial over <W>?)
 builds no graph: it is :func:`~systola.cochains.potential_is_consistent`
@@ -287,15 +288,13 @@ def homotopy_triviality_radius(C: Cover):
     This is floor(L/2) - 1 for the cover systole L (see the module
     docstring), and inf for a trivial cover.  Single-vertex balls span no
     edges, so the radius is never below 0.  Before returning, the ball
-    B(x, r + 1) around a centre x attaining L is confirmed to mix sheets.
+    B(x, r + 1) around a centre x attaining L, taken from the plain BFS of
+    the base, is confirmed to mix sheets.
     """
     _, radius, centre = _holonomy_scan(C)
     if centre is not None:
-        F = C.fiber
-        total = dijkstra(C._total_graph(), directed=False, unweighted=True,
-                         indices=[centre * F])[0]
-        dist = total.reshape(-1, F).min(axis=1)
-        if not _mask_mixes_fibers(C, dist <= radius + 1):
+        near = _bfs(C.base, C.base.vertices[centre], cutoff=radius + 1)
+        if not _mask_mixes_fibers(C, np.array([v in near for v in C.base.vertices])):
             raise ParameterError("internal error: unsound radius witness")
     return radius
 

@@ -6,9 +6,14 @@ ends with cones.  Prisms are triangulated by the staircase rule in the
 order of the signed vertex labels; because the antipodal involution
 negates labels, it reverses that order and therefore maps staircase
 simplices to staircase simplices, so the involution stays simplicial
-and free.  The antipodal quotient is a projective-space triangulation
-with edge systole exactly s, and the sheet-transition cocycle of the
-quotient reconstructs the sphere as its double cover.
+and free.  Copy v of the previous sphere (m vertices) in layer
+l = 1..s-1 is vertex (l-1)·m + v, and the poles are the two largest ids.
+
+The antipodal quotient is a projective-space triangulation with edge
+systole exactly s.  Its vertex i is the i-th positive-label vertex with
+its antipode, and a negative label marks sheet 1.  One pass over the
+sphere's edges checks them and reads the sheet-transition cocycle, which
+reconstructs the sphere as the quotient's double cover.
 """
 
 from __future__ import annotations
@@ -45,37 +50,34 @@ def _polygon_sphere(s: int) -> SymmetricComplex:
 
 
 def _add_layers(sc: SymmetricComplex, s: int) -> SymmetricComplex:
-    """One suspension step: (s-1) layers, staircase cylinders, two cones."""
+    """One suspension step: (s-1) layers, staircase cylinders, two cones.
+
+    Ids come from one shared list, so facet tuples share their int objects.
+    """
     X, tau, lab = sc.complex, sc.involution, sc.labels
     m = X.num_vertices
-    vid = {}
-    k = 0
-    for layer in range(1, s):
-        for v in X.vertices:
-            vid[(layer, v)] = k
-            k += 1
-    south, north = k, k + 1
-    k += 2
+    ids = list(range((s - 1) * m + 2))
+    layers = [ids[lo:lo + m] for lo in range(0, (s - 1) * m, m)]
+    south, north = ids[-2], ids[-1]
 
     facets = set()
-    for layer in range(1, s - 1):
+    for low, high in zip(layers, layers[1:]):
         for f in X.facets:
             ws = sorted(f, key=lab.__getitem__)
             for j in range(1, len(ws) + 1):
-                cell = [vid[(layer, w)] for w in ws[:j]]
-                cell += [vid[(layer + 1, w)] for w in ws[j - 1:]]
+                cell = [low[w] for w in ws[:j]] + [high[w] for w in ws[j - 1:]]
                 facets.add(tuple(sorted(cell)))
     for f in X.facets:
-        facets.add(tuple(sorted([south] + [vid[(1, w)] for w in f])))
-        facets.add(tuple(sorted([north] + [vid[(s - 1, w)] for w in f])))
+        facets.add(tuple([layers[0][w] for w in f] + [south]))
+        facets.add(tuple([layers[-1][w] for w in f] + [north]))
 
     involution = {south: north, north: south}
-    for layer in range(1, s):
+    for layer, mirror in zip(layers, reversed(layers)):
         for v in X.vertices:
-            involution[vid[(layer, v)]] = vid[(s - layer, tau[v])]
+            involution[layer[v]] = mirror[tau[v]]
     labels = {}
     nxt = 1
-    for v in range(k):
+    for v in ids:
         if v not in labels:
             labels[v] = nxt
             labels[involution[v]] = -nxt
@@ -102,46 +104,42 @@ def quotient(sc: SymmetricComplex):
     """Antipodal quotient plus the classifying sheet-transition cocycle.
 
     Returns ``(Q, xi)`` where the double cover of Q built from xi is
-    isomorphic to the original sphere.  Raises QuotientError whenever an
-    identification would not be simplicial.
+    isomorphic to the original sphere.  Raises QuotientError unless the
+    involution is free of order 2 and negates nonzero labels, no edge joins
+    antipodes, edges map to edges, both lifts of a quotient edge change
+    sheet alike, and every quotient facet has exactly two preimages.
     """
     X, tau, lab = sc.complex, sc.involution, sc.labels
-    edges_up = X.faces(1)
     for v in X.vertices:
-        if tau[tau[v]] != v or tau[v] == v:
+        t = tau.get(v)
+        if t == v or tau.get(t) != v:
             raise QuotientError("involution is not a free order-2 map")
-        if tuple(sorted((v, tau[v]))) in edges_up:
-            raise QuotientError(f"antipodal vertices {v!r}, {tau[v]!r} share an edge")
-
-    rep = {v: (v if lab[v] > 0 else tau[v]) for v in X.vertices}
-    reps = sorted(set(rep.values()))
+        if not lab.get(v) or lab.get(t) != -lab[v]:
+            raise QuotientError(f"labels of antipodes {v!r}, {t!r} are not opposite and nonzero")
     qid = {}
-    for i, rv in enumerate(reps):
-        qid[rv] = i
-        qid[tau[rv]] = i
+    for i, v in enumerate(v for v in X.vertices if lab[v] > 0):
+        qid[v] = qid[tau[v]] = i
 
-    counts = Counter()
-    for f in X.facets:
-        q = tuple(sorted(qid[v] for v in f))
-        if len(set(q)) != len(f):
-            raise QuotientError(f"facet {f!r} collapses in the quotient")
-        counts[q] += 1
+    edges = X.faces(1)
+    sheet_change = {}
+    for u, v in edges:
+        tu, tv = tau[u], tau[v]
+        if tu == v:
+            raise QuotientError(f"antipodal vertices {u!r}, {v!r} share an edge")
+        if (tu, tv) not in edges and (tv, tu) not in edges:
+            raise QuotientError(f"edge ({u!r}, {v!r}) has no edge as its antipodal image")
+        a, b = qid[u], qid[v]
+        e = (a, b) if a < b else (b, a)
+        flip = (lab[u] < 0) != (lab[v] < 0)
+        if sheet_change.setdefault(e, flip) != flip:
+            raise QuotientError(f"edge {e} lifts ambiguously")
+
+    counts = Counter(tuple(sorted(qid[v] for v in f)) for f in X.facets)
     bad = {q: c for q, c in counts.items() if c != 2}
     if bad:
         raise QuotientError(f"identification conflict on {len(bad)} facets")
     Q = SimplicialComplex(counts.keys())
-
-    section = {i: rv for i, rv in enumerate(reps)}
-    values = {}
-    for a, b in Q.faces(1):
-        va, vb = section[a], section[b]
-        same = tuple(sorted((va, vb))) in edges_up
-        flip = tuple(sorted((va, tau[vb]))) in edges_up
-        if same == flip:
-            raise QuotientError(f"edge ({a}, {b}) lifts ambiguously")
-        if flip:
-            values[(a, b)] = 1
-    return Q, Cochain1(Q, values, RING_Z2)
+    return Q, Cochain1(Q, {e: 1 for e, flip in sheet_change.items() if flip}, RING_Z2)
 
 
 def gen_projective_space(n: int, s: int):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -229,3 +232,13 @@ def test_verify_all_rejects_bad_thread_counts(capsys, monkeypatch, argv, env):
     code, out, err = run(capsys, "verify-all", "--n-max", "1", "--s-max", "3", *argv)
     assert code == 1 and out == ""
     assert err.startswith("usage error: ") and "thread" in err.lower()
+
+
+def test_python_m_systola_runs_the_cli():
+    src = str(Path(sy.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run(
+        [sys.executable, "-m", "systola", "bounds", "thm12", "--n", "2", "--sys", "3"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "4\n", "")

@@ -1,6 +1,9 @@
+import hashlib
+
 import pytest
 
 import systola as sy
+from systola.complexes import SimplicialComplex
 from systola.errors import ParameterError, QuotientError
 from systola.generators import SymmetricComplex
 
@@ -98,7 +101,7 @@ def test_hexagon_quotient_is_triangle():
     assert sum(xi.values.values()) % 2 == 1
 
 
-@pytest.mark.parametrize("n,s", [(1, 4), (2, 3), (2, 4), (2, 5), (3, 3)])
+@pytest.mark.parametrize("n,s", [(1, 4), (2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (4, 3)])
 def test_quotient_cocycle_reconstructs_the_sphere(n, s):
     Q, xi, sphere = sy.gen_projective_space(n, s)
     assert sy.is_cocycle(xi)
@@ -154,13 +157,91 @@ def test_three_path_families_realise_the_systole():
     assert min(sy.edge_distance(X, v, tau[v]) for v in X.vertices) == s
 
 
-def test_quotient_rejects_bad_involution(rp2):
-    sphere = sy.gen_symmetric_sphere(1, 3)
-    broken = SymmetricComplex(sphere.complex,
-                              {v: v for v in sphere.complex.vertices},
-                              sphere.labels)
-    with pytest.raises(QuotientError):
+# sha256 of the sphere, its involution and labels, Q and xi, as generated
+# before the vertex ids came by arithmetic and the quotient by one edge pass
+GENERATOR_DIGESTS = {
+    (1, 8): "7b4c5eb2f69c7793f04f32af07e7c13eb57ceee49123c5fd46d71c3c00f3649d",
+    (2, 7): "8476aafbf3654313aae13fc3ad59cdd68ac7612fbb5a57a3d0d83426bb328518",
+    (3, 6): "ea95a1892f072a1ec65b4762c6729ce0183676894a04f09a71d8cdb740a9165c",
+    (4, 6): "b580f14445579129c3497e0b606b88ebb8d809638bc83cefceb6231731dce909",
+}
+
+
+@pytest.mark.parametrize("n,s", sorted(GENERATOR_DIGESTS))
+def test_generator_output_is_pinned(n, s):
+    sphere = sy.gen_symmetric_sphere(n, s)
+    Q, xi = sy.quotient(sphere)
+    h = hashlib.sha256()
+    for part in (sy.dumps_complex(sphere.complex), repr(sorted(sphere.involution.items())),
+                 repr(sorted(sphere.labels.items())), sy.dumps_complex(Q),
+                 sy.dumps_cochain(xi)):
+        h.update(part.encode())
+        h.update(b"\0")
+    assert h.hexdigest() == GENERATOR_DIGESTS[(n, s)]
+
+
+def _antipodal(facets, pairs):
+    """Hand-built SymmetricComplex: pair i is (v, w) with labels i + 1, -(i + 1)."""
+    tau, lab = {}, {}
+    for i, (v, w) in enumerate(pairs):
+        tau[v], tau[w] = w, v
+        lab[v], lab[w] = i + 1, -(i + 1)
+    return SymmetricComplex(SimplicialComplex(facets), tau, lab)
+
+
+def _octagon():
+    return sy.gen_symmetric_sphere(1, 4)
+
+
+def test_quotient_rejects_bad_involution():
+    sphere = _octagon()
+    vs = sphere.complex.vertices
+    for involution in ({v: v for v in vs}, {v: (v + 4) % 8 for v in vs if v != 3}):
+        broken = SymmetricComplex(sphere.complex, involution, sphere.labels)
+        with pytest.raises(QuotientError, match="free order-2"):
+            sy.quotient(broken)
+
+
+@pytest.mark.parametrize("relabel", [abs, lambda x: 0 if abs(x) == 2 else x],
+                         ids=["all-positive", "zero-pair"])
+def test_quotient_rejects_labels_not_negated_by_the_involution(relabel):
+    sphere = _octagon()
+    broken = SymmetricComplex(sphere.complex, sphere.involution,
+                              {v: relabel(x) for v, x in sphere.labels.items()})
+    with pytest.raises(QuotientError, match="labels"):
         sy.quotient(broken)
+
+
+def test_quotient_rejects_an_antipodal_edge():
+    square = _antipodal([(0, 1), (1, 2), (2, 3), (0, 3)], [(0, 1), (2, 3)])
+    with pytest.raises(QuotientError, match="share an edge"):
+        sy.quotient(square)
+
+
+def test_quotient_rejects_an_edge_whose_image_is_no_edge():
+    sphere = _octagon()
+    chorded = SymmetricComplex(SimplicialComplex(sphere.complex.facets + ((0, 2),)),
+                               sphere.involution, sphere.labels)
+    with pytest.raises(QuotientError, match="no edge as its antipodal image"):
+        sy.quotient(chorded)
+
+
+def test_quotient_rejects_an_ambiguous_lift_in_dimension_2():
+    # the octahedron: each vertex is adjacent to both ends of every other
+    # antipodal pair, so each quotient edge has lifts of both sheet changes
+    octahedron = _antipodal([(a, b, c) for a in (0, 3) for b in (1, 4) for c in (2, 5)],
+                            [(0, 3), (1, 4), (2, 5)])
+    with pytest.raises(QuotientError, match="lifts ambiguously"):
+        sy.quotient(octahedron)
+
+
+def test_quotient_rejects_a_facet_without_its_antipode():
+    sphere = sy.gen_symmetric_sphere(2, 3)
+    holed = SymmetricComplex(SimplicialComplex(sphere.complex.facets[1:]),
+                             sphere.involution, sphere.labels)
+    assert holed.complex.faces(1) == sphere.complex.faces(1)
+    with pytest.raises(QuotientError, match="identification conflict"):
+        sy.quotient(holed)
 
 
 def test_named_fixtures(rp2, torus7):
