@@ -40,7 +40,7 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .cochains import RING_Z, RING_Z2, Cochain1, is_cocycle, potential_is_consistent
 from .complexes import SimplicialComplex, _bfs
-from .errors import CocycleError, ParameterError, UnknownVertexError
+from .errors import CocycleError, ParameterError, UnknownVertexError, require_int
 
 INFINITY = math.inf
 
@@ -153,11 +153,6 @@ def _require_vertex(X, x):
         raise UnknownVertexError(f"{x!r} is not a vertex of the complex")
 
 
-def _require_radius(r):
-    if r < 0:
-        raise ParameterError(f"radius must be at least 0, got {r}")
-
-
 def edge_distance(X: SimplicialComplex, x, y):
     """BFS distance in the 1-skeleton; inf across components."""
     _require_vertex(X, x)
@@ -169,14 +164,13 @@ def edge_distance(X: SimplicialComplex, x, y):
 def ball(X: SimplicialComplex, x, i: int) -> frozenset:
     """Vertices at edge-distance at most i from x."""
     _require_vertex(X, x)
-    _require_radius(i)
-    return frozenset(_bfs(X, x, cutoff=i))
+    return frozenset(_bfs(X, x, cutoff=require_int(i, "radius", 0)))
 
 
 def sphere(X: SimplicialComplex, x, i: int) -> frozenset:
     """Vertices at edge-distance exactly i from x."""
     _require_vertex(X, x)
-    _require_radius(i)
+    i = require_int(i, "radius", 0)
     return frozenset(v for v, d in _bfs(X, x, cutoff=i).items() if d == i)
 
 
@@ -186,8 +180,7 @@ def ball_profile(X: SimplicialComplex, x, r_max: int | None = None) -> BallProfi
     dist = _bfs(X, x)
     top = max(dist.values())
     if r_max is not None:
-        _require_radius(r_max)
-        top = min(top, r_max)
+        top = min(top, require_int(r_max, "radius", 0))
     sphere_sizes = [0] * (top + 1)
     for d in dist.values():
         if d <= top:

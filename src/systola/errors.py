@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer-argument check."""
+
+import operator
 
 
 class SystolaError(Exception):
@@ -35,3 +37,18 @@ class CapacityError(SystolaError, ValueError):
 
 class ParameterError(SystolaError, ValueError):
     """An argument falls outside the documented parameter range."""
+
+
+def require_int(value, name: str, minimum: int) -> int:
+    """``value`` as an int no smaller than ``minimum``.
+
+    Integer types such as numpy's are accepted through ``operator.index``;
+    bools, floats and strings are refused, never coerced.
+    """
+    try:
+        as_int = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        as_int = None
+    if as_int is None or as_int < minimum:
+        raise ParameterError(f"{name} must be an integer at least {minimum}, got {value!r}")
+    return as_int

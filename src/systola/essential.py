@@ -8,8 +8,11 @@ check restricted to the block: the forest criterion uses the free integer
 cochain, 2**i on the i-th sorted edge, which is a coboundary on <W>
 exactly when <W> has no cycle.  Both are monotone (a block that fails
 makes every superset fail), so exhaustive search over restricted-growth
-strings tests each block as it grows and prunes there.  The heuristic
-search only ever produces witnesses, never essentiality claims.
+strings tests each block as it grows and prunes there.  Many branches of
+that search reach the same block, so a block is an int bitmask over the
+vertex order and a per-search dict from mask to verdict runs the test once
+per distinct block.  The heuristic search only ever produces witnesses,
+never essentiality claims.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from dataclasses import dataclass
 from .cochains import RING_Z, Cochain1, potential_is_consistent
 from .complexes import SimplicialComplex
 from .covers import Cover, is_pi_inessential
-from .errors import CapacityError, DimensionError, ParameterError, UnknownVertexError
+from .errors import (CapacityError, DimensionError, ParameterError, UnknownVertexError,
+                     require_int)
 
 MAX_EXHAUSTIVE_VERTICES = 14
 
@@ -58,13 +62,15 @@ class EssentialityVerdict:
     ``essential`` is True or False for a completed exhaustive search;
     a heuristic search that finds no witness reports None, read as
     "not disproved".  A witness is present exactly when essential is
-    False.
+    False.  ``block_tests`` counts the block tests the search ran: one per
+    distinct block in exhaustive mode, one per call in heuristic mode.
     """
 
     essential: bool | None
     witness: VertexPartition | None
     method: str
     exhaustive_complete: bool
+    block_tests: int = 0
 
     def __post_init__(self):
         if (self.witness is not None) != (self.essential is False):
@@ -117,31 +123,40 @@ def _block_test(X, cover):
 
 
 def _exhaustive(vertices, n, test):
-    m = len(vertices)
-    blocks: list[set] = []
+    """The first partition of ``vertices`` into at most n blocks that all
+    pass ``test``, in restricted-growth order, or None.
 
-    def rec(i):
+    A block is an int bitmask, bit i for vertices[i]; ``verdicts`` keeps
+    each mask's test result for the rest of the search.
+    """
+    m = len(vertices)
+    bits = [(v, 1 << i) for i, v in enumerate(vertices)]
+    masks = [0] * min(n, m)
+    verdicts = {}
+
+    def members(mask):
+        return frozenset([v for v, bit in bits if mask & bit])
+
+    def rec(i, used):
         if i == m:
-            return [frozenset(b) for b in blocks]
-        v = vertices[i]
-        limit = min(len(blocks) + 1, n)
-        for j in range(limit):
-            fresh = j == len(blocks)
-            if fresh:
-                blocks.append({v})
-            else:
-                blocks[j].add(v)
-            if test(blocks[j]):
-                found = rec(i + 1)
+            return used
+        bit = 1 << i
+        for j in range(min(used + 1, n)):
+            old = masks[j]
+            mask = old | bit
+            ok = verdicts.get(mask)
+            if ok is None:
+                ok = verdicts[mask] = test(members(mask))
+            if ok:
+                masks[j] = mask
+                found = rec(i + 1, used + (j == used))
                 if found is not None:
                     return found
-            if fresh:
-                blocks.pop()
-            else:
-                blocks[j].remove(v)
+                masks[j] = old
         return None
 
-    return rec(0)
+    used = rec(0, 0)
+    return None if used is None else [members(mask) for mask in masks[:used]]
 
 
 def _heuristic(vertices, n, test, rng, deadline, max_rounds):
@@ -186,32 +201,42 @@ def combinatorial_essentiality(X: SimplicialComplex, n: int,
     Both criteria are monotone under shrinking a block, so the exhaustive
     search tests each block as it grows and prunes a branch at the first
     block that fails; the forest test is the potential check of the free
-    cochain, the cover test that of the cocycle mod the fiber.
+    cochain, the cover test that of the cocycle mod the fiber.  Blocks are
+    bitmasks over the vertex order, and the search keeps each mask's
+    verdict, so it tests every distinct block once; the final witness
+    re-check calls the block test afresh.  ``n`` and ``budget_ms`` must be
+    integers (bools refused).
     """
-    if n < 1:
-        raise ParameterError("n must be at least 1")
-    if budget_ms < 1:
-        raise ParameterError("budget must be at least 1 ms")
+    n = require_int(n, "n", 1)
+    budget_ms = require_int(budget_ms, "budget_ms", 1)
     if cover is not None and cover.base is not X:
         raise ParameterError("cover does not cover this complex")
     test = _block_test(X, cover)
+    block_tests = 0
+
+    def counted(block):
+        nonlocal block_tests
+        block_tests += 1
+        return test(block)
+
     vertices = list(X.vertices)
     if mode == "exhaustive":
         if len(vertices) > MAX_EXHAUSTIVE_VERTICES:
             raise CapacityError(
                 f"exhaustive search capped at {MAX_EXHAUSTIVE_VERTICES} vertices "
                 f"({len(vertices)} given); use the heuristic mode")
-        found = _exhaustive(vertices, n, test)
+        found = _exhaustive(vertices, n, counted)
     elif mode == "heuristic":
         rng = random.Random(seed)
         deadline = time.monotonic() + budget_ms / 1000.0
-        found = _heuristic(vertices, n, test, rng, deadline, max_rounds=10_000)
+        found = _heuristic(vertices, n, counted, rng, deadline, max_rounds=10_000)
     else:
         raise ParameterError(f"unknown mode {mode!r}")
     complete = mode == "exhaustive"
     if found is None:
-        return EssentialityVerdict(True if complete else None, None, mode, complete)
+        return EssentialityVerdict(True if complete else None, None, mode, complete,
+                                   block_tests)
     witness = VertexPartition(tuple(found))
     if not all(test(b) for b in witness.blocks):
         raise ParameterError("internal error: unsound witness")
-    return EssentialityVerdict(False, witness, mode, complete)
+    return EssentialityVerdict(False, witness, mode, complete, block_tests)

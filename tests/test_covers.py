@@ -98,7 +98,8 @@ def test_distance_across_components_is_infinite():
 
 def test_negative_radius_rejected():
     X = _cycle(6)
-    for r in (-1, -2):
+    # non-integral radii and bools are refused too, never coerced
+    for r in (-1, -2, 1.5, 2.0, True, False, "2"):
         for f in (sy.ball, sy.sphere):
             with pytest.raises(ParameterError, match="radius"):
                 f(X, 0, r)
@@ -106,6 +107,9 @@ def test_negative_radius_rejected():
             sy.ball_profile(X, 0, r_max=r)
     assert sy.ball(X, 0, 0) == sy.sphere(X, 0, 0) == frozenset({0})
     assert sy.ball_profile(X, 0, r_max=0).ball_sizes == (1,)
+    assert sy.ball(X, 0, np.int64(2)) == sy.ball(X, 0, 2) == frozenset({4, 5, 0, 1, 2})
+    assert sy.sphere(X, 0, np.int64(2)) == frozenset({4, 2})
+    assert sy.ball_profile(X, 0, r_max=np.int64(2)) == sy.ball_profile(X, 0, r_max=2)
 
 
 def test_ball_of_radius_one_in_rp2_is_everything(rp2):

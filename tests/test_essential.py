@@ -2,13 +2,14 @@ import itertools
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import systola as sy
 from systola.errors import CapacityError, DimensionError, ParameterError
-from systola.essential import _heuristic
+from systola.essential import _exhaustive, _heuristic
 
 from conftest import brute_cover_trivial_over, graph_girth, simple_cycles
 
@@ -52,10 +53,43 @@ def test_k7_is_not_4_essential():
 
 
 def test_odd_complete_graphs_essentiality_boundary():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4, 5, 6):
         k = sy.gen_named(f"complete-{2 * n + 1}")
         assert sy.combinatorial_essentiality(k, n).essential is True
         assert sy.combinatorial_essentiality(k, n + 1).essential is False
+
+
+def test_exhaustive_search_tests_each_distinct_block_once():
+    k13 = sy.gen_named("complete-13")
+    tested = []
+
+    def test(block):
+        tested.append(frozenset(block))
+        return sy.is_inessential_graph(k13, block)
+
+    # K13 is 6-essential: without the per-search verdicts the search would
+    # make 178,132 block tests of these 363 blocks
+    assert _exhaustive(list(k13.vertices), 6, test) is None
+    assert len(tested) == len(set(tested)) == 363
+    verdict = sy.combinatorial_essentiality(k13, 6)
+    assert verdict.essential is True and verdict.block_tests == 363
+
+
+def test_block_tests_count_the_heuristic_calls(monkeypatch):
+    Q, xi = sy.quotient(sy.gen_symmetric_sphere(3, 5))
+    cover = sy.build_cover(Q, xi, 2)
+    calls = []
+    real = sy.essential.is_pi_inessential
+
+    def counting(C, W):
+        calls.append(W)
+        return real(C, W)
+
+    monkeypatch.setattr(sy.essential, "is_pi_inessential", counting)
+    v = sy.combinatorial_essentiality(Q, 4, cover=cover, mode="heuristic",
+                                      budget_ms=600_000, seed=0)
+    # the witness re-check tests each block once more, outside the count
+    assert v.block_tests == len(calls) - len(v.witness) > 0
 
 
 def test_monotonicity_in_n():
@@ -139,10 +173,21 @@ def test_heuristic_finds_witness_but_never_claims_essential():
 
 def test_budget_below_one_ms_rejected():
     k7 = sy.gen_named("complete-7")
-    for budget in (0, -1):
+    for budget in (0, -1, 0.5, 2.5, True, "5", None):
         for mode in ("heuristic", "exhaustive"):
             with pytest.raises(ParameterError, match="budget"):
                 sy.combinatorial_essentiality(k7, 4, mode=mode, budget_ms=budget)
+
+
+def test_non_integer_n_rejected():
+    k7 = sy.gen_named("complete-7")
+    for bad in (0, True, False, 2.5, 2.0, "2", None):
+        with pytest.raises(ParameterError, match="n must be an integer"):
+            sy.combinatorial_essentiality(k7, bad)
+    v = sy.combinatorial_essentiality(k7, np.int64(4), mode="heuristic",
+                                      budget_ms=np.int32(1000), seed=1)
+    assert v.status == "not-essential" and len(v.witness) <= 4
+    assert sy.combinatorial_essentiality(k7, np.int64(3)).essential is True
 
 
 def test_heuristic_determinism_same_seed():
