@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParameterError
+from .errors import ParameterError, require_int
 
 INFINITY = math.inf
 
@@ -132,8 +132,7 @@ def essential_vertex_lower_bound(n: int, sys_length):
     above the s vertices of the s-cycle, which is 1-essential with
     edge-path systole s and meets b(1, s/2) = s with equality.
     """
-    if n < 1:
-        raise ParameterError("n must be at least 1")
+    n = require_int(n, "n", 1)
     half = _half(sys_length)
     if half < 0:
         return INFINITY
@@ -150,8 +149,7 @@ def essential_vertex_bound_chain(n: int, sys_length):
     even s-cycle at n = 1; the bound the recursion proves is
     ``essential_ball_bounds(n, r+1, r).value(n, r+1)``.
     """
-    if n < 1:
-        raise ParameterError("n must be at least 1")
+    n = require_int(n, "n", 1)
     half = _half(sys_length)
     if half < 0:
         return (INFINITY, INFINITY, INFINITY)
@@ -164,8 +162,7 @@ def essential_vertex_bound_chain(n: int, sys_length):
 
 def cup_vertex_lower_bound(n: int, sys_length):
     """Vertex lower bound 2^n C(floor(s/2), n) for n-cup-essential complexes."""
-    if n < 1:
-        raise ParameterError("n must be at least 1")
+    n = require_int(n, "n", 1)
     half = _half(sys_length)
     if half < 0:
         return INFINITY
@@ -200,8 +197,7 @@ def fvector_lower_bounds(n: int, s: int) -> FVectorBounds:
     fk >= C(n+1, k) (2^n C(floor(s/2), n) - 2n) + 2^(k+1) C(n+1, k+1);
     f_{n-1} >= 2^n n C(floor(s/2), n) + 2^(n+1) - 2n^2 + 2n + 4.
     """
-    if n < 1:
-        raise ParameterError("n must be at least 1")
+    n = require_int(n, "n", 1)
     half = _half(s)
     core = comb0(half, n)
     f0 = 2 ** (n - 1) * core

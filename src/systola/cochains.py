@@ -177,8 +177,11 @@ def cup_power(classes, X: SimplicialComplex | None = None) -> CochainK:
 def class_is_nonzero(c: CochainK) -> bool:
     """True iff c, assumed a cocycle, is not a Z2 coboundary.
 
-    Decided by solvability of the sparse linear system over the
-    (k-1)-cochains, with deterministic lowest-bit pivoting.
+    Decided by whether the target lies in the span of the coboundaries of
+    the (k-1)-faces (``gf2.in_span``).  Columns of weight 2 are contracted
+    by union-find before any elimination; in top degree on a closed
+    pseudomanifold every column has weight 2, so c is nonzero iff its
+    support is odd on some component of the dual graph.
     """
     if c.degree < 1:
         raise DimensionError("degree must be at least 1")
@@ -204,8 +207,10 @@ def class_is_nonzero(c: CochainK) -> bool:
 def h1_basis(X: SimplicialComplex) -> list[Cochain1]:
     """Cocycles whose classes form a basis of H^1(X; Z2).
 
-    Computed as ker(delta^1) modulo im(delta^0) by bitset elimination;
-    deterministic for a fixed complex.
+    Computed as ker(delta^1) modulo im(delta^0): ``gf2.kernel_basis`` gives
+    one cocycle per free edge coordinate by back-substitution, and each is
+    kept if it is independent of the vertex stars and the cocycles kept
+    before it.  Deterministic for a fixed complex.
     """
     edges = sorted(X.faces(1))
     m = len(edges)

@@ -104,8 +104,7 @@ def is_inessential_graph(X: SimplicialComplex, W) -> bool:
 
 def subdivision_vertex_lower_bound(n: int) -> int:
     """Vertex lower bound (n+1)(n+2)/2 attached to an n-essential subdivision."""
-    if n < 1:
-        raise ParameterError("n must be at least 1")
+    n = require_int(n, "n", 1)
     return (n + 1) * (n + 2) // 2
 
 

@@ -2,9 +2,22 @@
 
 Vectors are Python ints; bit i is coordinate i.  Elimination always
 pivots on the lowest set bit, so every reduction is deterministic.
+
+``in_span`` first contracts the vectors of weight at most 2 in a
+union-find: a weight-1 vector grounds its coordinate, a weight-2 vector
+joins its two.  Modulo their span a vector is its parity on each
+ungrounded class, so only the heavier vectors, projected that way, go
+through elimination.  A top-degree class on a pseudomanifold has only
+weight-2 columns and is decided by union-find alone.
+
+``kernel_basis`` eliminates without reducing above the pivots, then
+solves for every pivot coordinate in one descending pass, carrying all
+kernel vectors at once as bitsets over the free coordinates.
 """
 
 from __future__ import annotations
+
+_GROUND = -1
 
 
 class Echelon:
@@ -38,50 +51,83 @@ class Echelon:
         return len(self.rows)
 
 
+def _bits(vec: int):
+    """Indices of the set bits of vec, ascending."""
+    s = bin(vec)[:1:-1]
+    i = s.find("1")
+    while i >= 0:
+        yield i
+        i = s.find("1", i + 1)
+
+
 def rank(vectors) -> int:
     ech = Echelon()
     return sum(1 for v in vectors if ech.insert(v))
 
 
 def in_span(vectors, target: int) -> bool:
-    ech = Echelon()
+    """True iff target is a sum of some of the vectors."""
+    parent = {}
+
+    def find(i):
+        root = i
+        while (up := parent.get(root, root)) != root:
+            root = up
+        while i != root:
+            parent[i], i = root, parent[i]
+        return root
+
+    heavy = []
     for v in vectors:
-        ech.insert(v)
-    return ech.reduce(target) == 0
+        low = v & -v
+        high = v ^ low
+        if high & (high - 1):
+            heavy.append(v)
+        elif v:
+            a = find(low.bit_length() - 1)
+            b = find(high.bit_length() - 1) if high else _GROUND
+            if a == _GROUND:  # the ground stays a root
+                a, b = b, a
+            if a != b:
+                parent[a] = b
 
+    def project(v):
+        out = 0
+        for i in _bits(v):
+            r = find(i)
+            if r != _GROUND:
+                out ^= 1 << r
+        return out
 
-def rref(vectors) -> list[int]:
-    """Fully reduced echelon rows, sorted by pivot bit.
-
-    Each pivot bit occurs in exactly one returned row.
-    """
     ech = Echelon()
-    for v in vectors:
-        ech.insert(v)
-    rows = sorted(ech.rows.values(), key=lambda r: r & -r)
-    for i in range(len(rows) - 1, -1, -1):
-        piv = rows[i] & -rows[i]
-        for j in range(i):
-            if rows[j] & piv:
-                rows[j] ^= rows[i]
-    return rows
+    for v in heavy:
+        ech.insert(project(v))
+    return ech.reduce(project(target)) == 0
 
 
 def kernel_basis(constraints, n_cols: int) -> list[int]:
-    """Basis of {x : c & x has even weight for every constraint c}.
+    """Basis of {x < 2**n_cols : c & x has even weight for every constraint c}.
 
-    Returned vectors are ordered by their free coordinate, ascending.
+    The k-th vector has its k-th free (non-pivot) coordinate set and every
+    other free coordinate clear, so the basis is unique and ordered by
+    free coordinate, ascending.
     """
-    rows = rref(constraints)
-    pivot_bits = {r & -r for r in rows}
-    basis = []
+    mask = (1 << n_cols) - 1
+    ech = Echelon()
+    for c in constraints:
+        ech.insert(c & mask)
+    rows = ech.rows
+    cols = {}
     for j in range(n_cols):
-        bit = 1 << j
-        if bit in pivot_bits:
-            continue
-        x = bit
-        for r in rows:
-            if r & bit:
-                x |= r & -r
-        basis.append(x)
+        if (1 << j) not in rows:
+            cols[j] = 1 << len(cols)
+    for p in sorted(rows, reverse=True):
+        x = 0
+        for b in _bits(rows[p] ^ p):
+            x ^= cols[b]
+        cols[p.bit_length() - 1] = x
+    basis = [0] * (n_cols - len(rows))
+    for j, x in cols.items():
+        for k in _bits(x):
+            basis[k] |= 1 << j
     return basis

@@ -14,6 +14,7 @@ from collections import deque
 import pytest
 
 import systola as sy
+from systola.gf2 import Echelon
 
 
 # -- fixture complexes -------------------------------------------------------
@@ -195,3 +196,84 @@ def graph_girth(X):
                 elif parent[u] != w:
                     best = min(best, dist[u] + dist[w] + 1)
     return best
+
+
+def is_closed_pseudomanifold(X):
+    """Oracle: X is pure, every ridge lies in exactly two facets, and the
+    dual graph (facets joined across shared ridges) is connected."""
+    facets = [tuple(sorted(f)) for f in X.facets]
+    n = X.dim
+    if any(len(f) != n + 1 for f in facets):
+        return False
+    cofaces = {}
+    for i, f in enumerate(facets):
+        for k in range(n + 1):
+            cofaces.setdefault(f[:k] + f[k + 1:], []).append(i)
+    if any(len(pair) != 2 for pair in cofaces.values()):
+        return False
+    dual = {i: [] for i in range(len(facets))}
+    for a, b in cofaces.values():
+        dual[a].append(b)
+        dual[b].append(a)
+    seen = {0}
+    queue = deque([0])
+    while queue:
+        for j in dual[queue.popleft()]:
+            if j not in seen:
+                seen.add(j)
+                queue.append(j)
+    return len(seen) == len(facets)
+
+
+def parity_class_is_nonzero(c):
+    """Oracle for a top-degree Z2 class on a closed Z2-pseudomanifold with a
+    connected dual graph: H^n is Z2, detected by the parity of the support.
+    None when the complex is not such a pseudomanifold or c is not top-degree."""
+    X = c.complex
+    if c.degree != X.dim or not is_closed_pseudomanifold(X):
+        return None
+    return len(c.support) % 2 == 1
+
+
+# -- GF(2) oracles: plain elimination with a full reduced echelon form ---------
+
+def brute_rref(vectors):
+    """Fully reduced echelon rows, sorted by pivot bit; each pivot bit occurs
+    in exactly one row."""
+    ech = Echelon()
+    for v in vectors:
+        ech.insert(v)
+    rows = sorted(ech.rows.values(), key=lambda r: r & -r)
+    for i in range(len(rows) - 1, -1, -1):
+        piv = rows[i] & -rows[i]
+        for j in range(i):
+            if rows[j] & piv:
+                rows[j] ^= rows[i]
+    return rows
+
+
+def brute_kernel_basis(constraints, n_cols):
+    """Kernel basis read off the reduced echelon form: one vector per free
+    coordinate j < n_cols, ascending, with j set and the pivots of the rows
+    that contain j."""
+    rows = brute_rref(constraints)
+    pivot_bits = {r & -r for r in rows}
+    basis = []
+    for j in range(n_cols):
+        bit = 1 << j
+        if bit in pivot_bits:
+            continue
+        x = bit
+        for r in rows:
+            if r & bit:
+                x |= r & -r
+        basis.append(x)
+    return basis
+
+
+def brute_in_span(vectors, target):
+    """Span membership by inserting every vector into one echelon."""
+    ech = Echelon()
+    for v in vectors:
+        ech.insert(v)
+    return ech.reduce(target) == 0

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import systola as sy
@@ -103,6 +104,20 @@ def test_chain_telescopes_to_the_strong_bound():
             total = sum(2 * comb0(r + k - 1, k) + comb0(r + k - 1, k - 1)
                         for k in range(n + 1))
             assert total == 2 * comb0(r + n, n) + comb0(r + n, n - 1)
+
+
+@pytest.mark.parametrize("bound", [
+    lambda n: sy.subdivision_vertex_lower_bound(n),
+    lambda n: sy.essential_vertex_lower_bound(n, 4),
+    lambda n: sy.essential_vertex_bound_chain(n, 3),
+    lambda n: sy.cup_vertex_lower_bound(n, 6),
+    lambda n: sy.fvector_lower_bounds(n, 6),
+], ids=["subdivision", "essential", "essential_chain", "cup", "fvector"])
+def test_bounds_refuse_a_non_integer_n(bound):
+    for bad in (0, True, False, 2.5, 2.0, "2", None):
+        with pytest.raises(ParameterError, match="n must be an integer"):
+            bound(bad)
+    assert bound(np.int64(2)) == bound(2)
 
 
 def test_infinite_systole_propagates():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -8,7 +9,7 @@ import systola as sy
 from systola.cochains import coboundary, vertex_coboundary
 from systola.errors import DimensionError, DomainError
 
-from conftest import brute_restriction_is_zero
+from conftest import brute_restriction_is_zero, parity_class_is_nonzero
 
 
 def _random_cochain(X, rng, ring=sy.RING_Z2):
@@ -51,6 +52,26 @@ def test_h1_dimensions_match_surface_euler(rp2, torus7):
     # closed surfaces: dim H^1(Z2) = 2 - Euler characteristic
     assert len(sy.h1_basis(rp2)) == 2 - rp2.euler_characteristic() == 1
     assert len(sy.h1_basis(torus7)) == 2 - torus7.euler_characteristic() == 2
+
+
+# sha256 of the sorted edge support of each h1_basis member, in order, as
+# computed when kernel_basis still read its vectors off a full RREF
+H1_DIGESTS = {
+    "rp2-six": "1500994943b5ead7f7cae3665a4f273c222f8d7df48a0b7fc0992799099f5423",
+    "torus-seven": "2d5a2eb4d72a86ca4b9144b5eb087158372b8dc6ca1e80072c260cc0ae261d51",
+    (3, 8): "21cdcc32464d29ca6f0e72d2f826cb0bc757963b7cc55937b5285a47561a088f",
+    (4, 4): "14fc063d75dc0b5dcab2abacfb299940bb6fe93efd3c06dea345bb3cd0894e65",
+}
+
+
+@pytest.mark.parametrize("key", list(H1_DIGESTS), ids=str)
+def test_h1_basis_output_is_pinned(key):
+    X = sy.gen_named(key) if isinstance(key, str) else sy.gen_projective_space(*key)[0]
+    h = hashlib.sha256()
+    for c in sy.h1_basis(X):
+        h.update(repr(sorted(c.values)).encode())
+        h.update(b"\0")
+    assert h.hexdigest() == H1_DIGESTS[key]
 
 
 def test_h1_basis_members_are_noncoboundary_cocycles(rp2, torus7):
@@ -150,6 +171,21 @@ def test_torus_pairing_invariant_under_coboundary_shift(torus7, torus_classes):
         sb = b + vertex_coboundary(torus7, gb)
         assert sy.class_is_nonzero(sy.cup_power([sa, sb]))
         assert not sy.class_is_nonzero(sy.cup_power([sa, sa]))
+
+
+@pytest.mark.parametrize("n,s", [(n, s) for n in range(1, 5) for s in range(3, 6)])
+def test_top_class_is_its_parity_on_grid_quotients(n, s):
+    # every grid quotient is a closed Z2-pseudomanifold with a connected dual
+    # graph, so a top-degree class is nonzero iff its support is odd
+    Q, xi, _ = sy.gen_projective_space(n, s)
+    cup = sy.cup_power([xi] * n, Q)
+    assert parity_class_is_nonzero(cup) is True
+    assert sy.class_is_nonzero(cup)
+    rng = random.Random(f"{n}/{s}")
+    facets = sorted(Q.faces(n))
+    for size in (1, 2, len(facets) // 2, len(facets) // 2 + 1):
+        c = sy.CochainK(Q, n, rng.sample(facets, size))
+        assert sy.class_is_nonzero(c) == parity_class_is_nonzero(c) == (size % 2 == 1)
 
 
 def test_restriction_to_tree_is_zero(rp2, rp2_class):

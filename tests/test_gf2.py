@@ -1,6 +1,13 @@
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from systola import gf2
+
+from conftest import brute_in_span, brute_kernel_basis, brute_rref
+
+BITS = 12
 
 
 def test_echelon_rank():
@@ -17,7 +24,7 @@ def test_in_span():
 
 
 def test_rref_pivots_unique():
-    rows = gf2.rref([0b111, 0b011, 0b110])
+    rows = brute_rref([0b111, 0b011, 0b110])
     pivots = [r & -r for r in rows]
     assert len(set(pivots)) == len(rows)
     for r in rows:
@@ -43,9 +50,56 @@ def test_kernel_of_zero_constraints_is_everything():
 
 def test_determinism():
     rows = [0b1100, 0b1010, 0b0110]
-    assert gf2.rref(rows) == gf2.rref(list(rows))
+    assert brute_rref(rows) == brute_rref(list(rows))
     e1, e2 = gf2.Echelon(), gf2.Echelon()
     for r in rows:
         e1.insert(r)
         e2.insert(r)
     assert e1.rows == e2.rows
+
+
+# Weight 0, 1 and 2 are the contracted cases; dense vectors go to elimination.
+_index = st.integers(0, BITS - 1)
+_vector = st.one_of(
+    st.just(0),
+    _index.map(lambda i: 1 << i),
+    st.tuples(_index, _index).map(lambda p: 1 << p[0] | 1 << p[1]),
+    st.integers(0, (1 << BITS) - 1),
+)
+
+
+@st.composite
+def _vector_lists(draw):
+    vectors = draw(st.lists(_vector, max_size=16))
+    if vectors:
+        vectors += draw(st.lists(st.sampled_from(vectors), max_size=4))
+    return draw(st.permutations(vectors))
+
+
+@st.composite
+def _span_queries(draw):
+    vectors = draw(_vector_lists())
+    if vectors and draw(st.booleans()):
+        target = 0
+        for v, pick in zip(vectors, draw(st.lists(st.booleans(), min_size=len(vectors),
+                                                  max_size=len(vectors)))):
+            if pick:
+                target ^= v
+        target ^= draw(st.sampled_from([0, 0, 0] + [1 << i for i in range(BITS)]))
+    else:
+        target = draw(_vector)
+    return vectors, target
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(_span_queries())
+def test_in_span_matches_plain_elimination(query):
+    vectors, target = query
+    assert gf2.in_span(vectors, target) == brute_in_span(vectors, target)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(_vector_lists(), st.integers(0, BITS + 2))
+def test_kernel_basis_matches_reduced_echelon_oracle(constraints, n_cols):
+    # n_cols below BITS leaves constraint bits at or above n_cols
+    assert gf2.kernel_basis(constraints, n_cols) == brute_kernel_basis(constraints, n_cols)
