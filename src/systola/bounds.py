@@ -44,23 +44,24 @@ class BoundTable:
     rows: tuple
 
     def value(self, n: int, i: int) -> int:
-        if n < self.min_n or n - self.min_n >= len(self.rows):
-            raise ParameterError(f"row {n} not tabulated")
-        row = self.rows[n - self.min_n]
-        if i < 0 or i >= len(row):
+        row = self.row(n)
+        i = require_int(i, "i", 0)
+        if i >= len(row):
             raise ParameterError(f"column {i} not tabulated")
         return row[i]
 
     def row(self, n: int) -> tuple:
-        if n < self.min_n or n - self.min_n >= len(self.rows):
+        n = require_int(n, "n", self.min_n)
+        if n - self.min_n >= len(self.rows):
             raise ParameterError(f"row {n} not tabulated")
         return self.rows[n - self.min_n]
 
 
 def essential_ball_bounds(n_max: int, i_max: int, r: int) -> BoundTable:
     """Ball-growth lower bounds for combinatorially essential covers."""
-    if n_max < 1 or i_max < 0 or r < 0:
-        raise ParameterError("need n_max >= 1, i_max >= 0, r >= 0")
+    n_max = require_int(n_max, "n_max", 1)
+    i_max = require_int(i_max, "i_max", 0)
+    r = require_int(r, "r", 0)
     if i_max > r + 1:
         raise ParameterError(f"entries beyond i = r+1 = {r + 1} are undefined")
     first = [2 * i + 1 if i <= r else 2 * r + 2 for i in range(i_max + 1)]
@@ -77,8 +78,8 @@ def essential_ball_bounds(n_max: int, i_max: int, r: int) -> BoundTable:
 
 def cup_ball_bounds(n_max: int, i_max: int) -> BoundTable:
     """Ball-growth lower bounds under a nonzero length-n cup product."""
-    if n_max < 0 or i_max < 0:
-        raise ParameterError("need n_max >= 0, i_max >= 0")
+    n_max = require_int(n_max, "n_max", 0)
+    i_max = require_int(i_max, "i_max", 0)
     rows = [tuple([1] * (i_max + 1))]
     for _ in range(1, n_max + 1):
         prev = rows[-1]
@@ -93,8 +94,8 @@ def cup_ball_bounds(n_max: int, i_max: int) -> BoundTable:
 
 def delannoy_table(n_max: int, i_max: int) -> BoundTable:
     """Coefficients of 1/(1-v-u-uv) via the three-term recurrence."""
-    if n_max < 0 or i_max < 0:
-        raise ParameterError("need n_max >= 0, i_max >= 0")
+    n_max = require_int(n_max, "n_max", 0)
+    i_max = require_int(i_max, "i_max", 0)
     rows = [tuple([1] * (i_max + 1))]
     for _ in range(1, n_max + 1):
         prev = rows[-1]
@@ -106,17 +107,15 @@ def delannoy_table(n_max: int, i_max: int) -> BoundTable:
 
 
 def delannoy_coeff(n: int, i: int) -> int:
-    if n < 0 or i < 0:
-        raise ParameterError("indices must be nonnegative")
+    n = require_int(n, "n", 0)
+    i = require_int(i, "i", 0)
     return delannoy_table(n, i).value(n, i)
 
 
 def _half(sys_length) -> int:
     if sys_length == INFINITY:
         return -1
-    if not isinstance(sys_length, int) or sys_length < 3:
-        raise ParameterError("systole must be an integer >= 3 (or inf)")
-    return sys_length // 2
+    return require_int(sys_length, "systole", 3) // 2
 
 
 def essential_vertex_lower_bound(n: int, sys_length):
@@ -155,7 +154,7 @@ def essential_vertex_bound_chain(n: int, sys_length):
         return (INFINITY, INFINITY, INFINITY)
     strongest = essential_vertex_lower_bound(n, sys_length)
     middle = comb0(n + half, n)
-    ceil_half = -(-sys_length // 2)
+    ceil_half = -(-int(sys_length) // 2)
     weak = Fraction(ceil_half ** n, math.factorial(n))
     return (strongest, middle, weak)
 
@@ -175,8 +174,8 @@ def cup_vertex_total(n: int, r: int) -> int:
     The row-sum reading of the total vertex count under a cup-length
     assumption; verified against 2^n C(r+1, n) in the golden suite.
     """
-    if n < 0 or r < 0:
-        raise ParameterError("indices must be nonnegative")
+    n = require_int(n, "n", 0)
+    r = require_int(r, "r", 0)
     table = cup_ball_bounds(n, r)
     return sum(table.value(k, r) for k in range(n + 1))
 

@@ -37,7 +37,7 @@ class SimplicialComplex:
     assumes canonical, pairwise non-nested facets.
     """
 
-    __slots__ = ("facets", "vertices", "_faces", "_adjacency", "_facet_sets", "_vertex_facets")
+    __slots__ = ("facets", "vertices", "_faces", "_adjacency", "_vertex_index")
 
     def __init__(self, facets):
         self.facets = tuple(sorted(facets, key=lambda f: (len(f), f)))
@@ -47,8 +47,7 @@ class SimplicialComplex:
         self.vertices = tuple(sorted(seen))
         self._faces = {}
         self._adjacency = None
-        self._facet_sets = None
-        self._vertex_facets = None
+        self._vertex_index = None
 
     # -- basic queries -------------------------------------------------
 
@@ -73,18 +72,11 @@ class SimplicialComplex:
         return self._faces[k]
 
     def has_vertex(self, v) -> bool:
-        return bool(self._facets_of().get(v))
+        return v in self.vertex_index()
 
     def has_face(self, face) -> bool:
         face = canonical_face(face)
-        byv = self._facets_of()
-        lists = [byv.get(v) for v in face]
-        if any(lst is None for lst in lists):
-            return False
-        probe = min(lists, key=len)
-        sets = self._facet_set_list()
-        fs = set(face)
-        return any(fs <= sets[i] for i in probe)
+        return face in self.faces(len(face) - 1)
 
     def adjacency(self) -> dict:
         """Vertex -> sorted tuple of neighbours in the 1-skeleton."""
@@ -111,24 +103,10 @@ class SimplicialComplex:
         return sum((-1) ** k * len(self.faces(k)) for k in range(self.dim + 1))
 
     def vertex_index(self) -> dict:
-        """Label -> position in the sorted vertex tuple."""
-        return {v: i for i, v in enumerate(self.vertices)}
-
-    # -- internals -----------------------------------------------------
-
-    def _facet_set_list(self):
-        if self._facet_sets is None:
-            self._facet_sets = [set(f) for f in self.facets]
-        return self._facet_sets
-
-    def _facets_of(self):
-        if self._vertex_facets is None:
-            byv = {}
-            for i, f in enumerate(self.facets):
-                for v in f:
-                    byv.setdefault(v, []).append(i)
-            self._vertex_facets = byv
-        return self._vertex_facets
+        """Label -> position in the sorted vertex tuple (cached)."""
+        if self._vertex_index is None:
+            self._vertex_index = {v: i for i, v in enumerate(self.vertices)}
+        return self._vertex_index
 
     # -- dunder --------------------------------------------------------
 

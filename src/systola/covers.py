@@ -83,11 +83,6 @@ class Cover:
     def project(self, vertex):
         return vertex[0]
 
-    def lift(self, v, sheet: int = 0):
-        if not self.base.has_vertex(v):
-            raise UnknownVertexError(f"{v!r} is not a vertex of the base")
-        return (v, sheet % self.fiber)
-
     def deck(self, vertex, shift: int = 1):
         v, s = vertex
         return (v, (s + shift) % self.fiber)

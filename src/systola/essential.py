@@ -8,11 +8,10 @@ check restricted to the block: the forest criterion uses the free integer
 cochain, 2**i on the i-th sorted edge, which is a coboundary on <W>
 exactly when <W> has no cycle.  Both are monotone (a block that fails
 makes every superset fail), so exhaustive search over restricted-growth
-strings tests each block as it grows and prunes there.  Many branches of
-that search reach the same block, so a block is an int bitmask over the
-vertex order and a per-search dict from mask to verdict runs the test once
-per distinct block.  The heuristic search only ever produces witnesses,
-never essentiality claims.
+strings tests each block as it grows and prunes there.  Both searches
+see a block as an int bitmask over the vertex order and share one dict
+from mask to verdict, so each distinct block is tested once.  The
+heuristic search only ever produces witnesses, never essentiality claims.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ from .complexes import SimplicialComplex
 from .covers import Cover, is_pi_inessential
 from .errors import (CapacityError, DimensionError, ParameterError, UnknownVertexError,
                      require_int)
+from .gf2 import _bits
 
 MAX_EXHAUSTIVE_VERTICES = 14
 
@@ -62,8 +62,8 @@ class EssentialityVerdict:
     ``essential`` is True or False for a completed exhaustive search;
     a heuristic search that finds no witness reports None, read as
     "not disproved".  A witness is present exactly when essential is
-    False.  ``block_tests`` counts the block tests the search ran: one per
-    distinct block in exhaustive mode, one per call in heuristic mode.
+    False.  ``block_tests`` counts the distinct blocks the search tested,
+    in both modes; each is tested once.
     """
 
     essential: bool | None
@@ -121,20 +121,11 @@ def _block_test(X, cover):
         "essentiality for complexes of dimension > 1 needs an explicit cover")
 
 
-def _exhaustive(vertices, n, test):
-    """The first partition of ``vertices`` into at most n blocks that all
-    pass ``test``, in restricted-growth order, or None.
-
-    A block is an int bitmask, bit i for vertices[i]; ``verdicts`` keeps
-    each mask's test result for the rest of the search.
-    """
-    m = len(vertices)
-    bits = [(v, 1 << i) for i, v in enumerate(vertices)]
+def _exhaustive(m, n, passes):
+    """The first partition of vertices 0..m-1 into at most n blocks that all
+    ``passes``, in restricted-growth order, as bitmasks (bit i for vertex i);
+    None if there is none."""
     masks = [0] * min(n, m)
-    verdicts = {}
-
-    def members(mask):
-        return frozenset([v for v, bit in bits if mask & bit])
 
     def rec(i, used):
         if i == m:
@@ -142,12 +133,8 @@ def _exhaustive(vertices, n, test):
         bit = 1 << i
         for j in range(min(used + 1, n)):
             old = masks[j]
-            mask = old | bit
-            ok = verdicts.get(mask)
-            if ok is None:
-                ok = verdicts[mask] = test(members(mask))
-            if ok:
-                masks[j] = mask
+            if passes(old | bit):
+                masks[j] = old | bit
                 found = rec(i + 1, used + (j == used))
                 if found is not None:
                     return found
@@ -155,32 +142,32 @@ def _exhaustive(vertices, n, test):
         return None
 
     used = rec(0, 0)
-    return None if used is None else [members(mask) for mask in masks[:used]]
+    return None if used is None else masks[:used]
 
 
-def _heuristic(vertices, n, test, rng, deadline, max_rounds):
-    m = len(vertices)
+def _heuristic(m, n, passes, rng, deadline, max_rounds):
+    """A partition of vertices 0..m-1 into at most n blocks that all
+    ``passes``, or None.  Each round draws a label per vertex, then 4m times
+    moves a random vertex of a random failing block to a random label; the
+    blocks are bitmasks, one per label, in the order of their lowest vertex."""
     rounds = 0
     while rounds < max_rounds and time.monotonic() < deadline:
         rounds += 1
-        assign = [rng.randrange(n) for _ in range(m)]
-        ok = {}  # label -> verdict; a move can only change its two labels
+        masks = [0] * n
+        for i in range(m):
+            masks[rng.randrange(n)] |= 1 << i
         for _ in range(4 * m):
-            groups = {}
-            for v, a in zip(vertices, assign):
-                groups.setdefault(a, set()).add(v)
-            for a, b in groups.items():
-                if a not in ok:
-                    ok[a] = test(b)
-            bad = [a for a in groups if not ok[a]]
+            order = sorted((a for a in range(n) if masks[a]),
+                           key=lambda a: masks[a] & -masks[a])
+            bad = [a for a in order if not passes(masks[a])]
             if not bad:
-                return [frozenset(b) for b in groups.values()]
+                return [masks[a] for a in order]
             a = rng.choice(bad)
-            movers = [i for i in range(m) if assign[i] == a]
+            movers = list(_bits(masks[a]))
             dest = rng.randrange(n)
-            assign[rng.choice(movers)] = dest
-            del ok[a]
-            ok.pop(dest, None)
+            bit = 1 << rng.choice(movers)
+            masks[a] ^= bit
+            masks[dest] |= bit
             if time.monotonic() >= deadline:
                 break
     return None
@@ -200,42 +187,51 @@ def combinatorial_essentiality(X: SimplicialComplex, n: int,
     Both criteria are monotone under shrinking a block, so the exhaustive
     search tests each block as it grows and prunes a branch at the first
     block that fails; the forest test is the potential check of the free
-    cochain, the cover test that of the cocycle mod the fiber.  Blocks are
-    bitmasks over the vertex order, and the search keeps each mask's
-    verdict, so it tests every distinct block once; the final witness
-    re-check calls the block test afresh.  ``n`` and ``budget_ms`` must be
-    integers (bools refused).
+    cochain, the cover test that of the cocycle mod the fiber.  Both modes
+    ask one mask -> verdict dict, so every distinct block is tested once and
+    ``block_tests`` is the size of that dict; the final witness re-check
+    calls the block test afresh.  ``n`` and ``budget_ms`` must be integers
+    (bools refused).
     """
     n = require_int(n, "n", 1)
     budget_ms = require_int(budget_ms, "budget_ms", 1)
     if cover is not None and cover.base is not X:
         raise ParameterError("cover does not cover this complex")
     test = _block_test(X, cover)
-    block_tests = 0
+    vertices = X.vertices
 
-    def counted(block):
-        nonlocal block_tests
-        block_tests += 1
-        return test(block)
+    def members(mask):
+        return frozenset([vertices[i] for i in _bits(mask)])
 
-    vertices = list(X.vertices)
+    class Verdicts(dict):
+        def __missing__(self, mask):
+            ok = self[mask] = test(members(mask))
+            return ok
+
+    # The exhaustive search asks about the same blocks again and again (K13
+    # with n = 6: 178,132 asks of 363 blocks); a hit here is one C-level dict
+    # lookup, where a Python closure would cost about twice as much.
+    verdicts = Verdicts()
+    passes = verdicts.__getitem__
+
+    m = len(vertices)
     if mode == "exhaustive":
-        if len(vertices) > MAX_EXHAUSTIVE_VERTICES:
+        if m > MAX_EXHAUSTIVE_VERTICES:
             raise CapacityError(
                 f"exhaustive search capped at {MAX_EXHAUSTIVE_VERTICES} vertices "
-                f"({len(vertices)} given); use the heuristic mode")
-        found = _exhaustive(vertices, n, counted)
+                f"({m} given); use the heuristic mode")
+        found = _exhaustive(m, n, passes)
     elif mode == "heuristic":
         rng = random.Random(seed)
         deadline = time.monotonic() + budget_ms / 1000.0
-        found = _heuristic(vertices, n, counted, rng, deadline, max_rounds=10_000)
+        found = _heuristic(m, n, passes, rng, deadline, max_rounds=10_000)
     else:
         raise ParameterError(f"unknown mode {mode!r}")
     complete = mode == "exhaustive"
     if found is None:
         return EssentialityVerdict(True if complete else None, None, mode, complete,
-                                   block_tests)
-    witness = VertexPartition(tuple(found))
+                                   len(verdicts))
+    witness = VertexPartition(tuple(members(mask) for mask in found))
     if not all(test(b) for b in witness.blocks):
         raise ParameterError("internal error: unsound witness")
-    return EssentialityVerdict(False, witness, mode, complete, block_tests)
+    return EssentialityVerdict(False, witness, mode, complete, len(verdicts))

@@ -60,10 +60,10 @@ def _add_layers(sc: SymmetricComplex, s: int) -> SymmetricComplex:
     layers = [ids[lo:lo + m] for lo in range(0, (s - 1) * m, m)]
     south, north = ids[-2], ids[-1]
 
+    by_label = [sorted(f, key=lab.__getitem__) for f in X.facets]
     facets = set()
     for low, high in zip(layers, layers[1:]):
-        for f in X.facets:
-            ws = sorted(f, key=lab.__getitem__)
+        for ws in by_label:
             for j in range(1, len(ws) + 1):
                 cell = [low[w] for w in ws[:j]] + [high[w] for w in ws[j - 1:]]
                 facets.add(tuple(sorted(cell)))

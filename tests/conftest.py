@@ -277,3 +277,42 @@ def brute_in_span(vectors, target):
     for v in vectors:
         ech.insert(v)
     return ech.reduce(target) == 0
+
+
+# -- essentiality oracle: the heuristic with a verdict per label ---------------
+
+def reference_heuristic(vertices, n, test, rng, deadline, max_rounds):
+    """The seeded heuristic search over labelled vertex groups.
+
+    Same draws as ``essential._heuristic``: one ``randrange(n)`` per vertex,
+    then per move ``choice`` of a failing label, ``randrange(n)`` for the
+    destination and ``choice`` of a vertex.  Groups are rebuilt from the
+    labels every move and listed in the order of their lowest vertex; a
+    label's verdict is kept until a move changes its group.  Returns the
+    blocks as frozensets, or None.
+    """
+    m = len(vertices)
+    rounds = 0
+    while rounds < max_rounds and time.monotonic() < deadline:
+        rounds += 1
+        assign = [rng.randrange(n) for _ in range(m)]
+        ok = {}
+        for _ in range(4 * m):
+            groups = {}
+            for v, a in zip(vertices, assign):
+                groups.setdefault(a, set()).add(v)
+            for a, b in groups.items():
+                if a not in ok:
+                    ok[a] = test(frozenset(b))
+            bad = [a for a in groups if not ok[a]]
+            if not bad:
+                return [frozenset(b) for b in groups.values()]
+            a = rng.choice(bad)
+            movers = [i for i in range(m) if assign[i] == a]
+            dest = rng.randrange(n)
+            assign[rng.choice(movers)] = dest
+            del ok[a]
+            ok.pop(dest, None)
+            if time.monotonic() >= deadline:
+                break
+    return None

@@ -32,8 +32,48 @@ def test_essential_table_closed_form_and_endpoint():
 
 
 def test_essential_table_range_error():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="undefined"):
         sy.essential_ball_bounds(2, 4, 2)
+    t = sy.cup_ball_bounds(3, 3)
+    with pytest.raises(ParameterError, match="row 4 not tabulated"):
+        t.value(4, 0)
+    with pytest.raises(ParameterError, match="column 4 not tabulated"):
+        t.value(0, 4)
+    with pytest.raises(ParameterError, match="row 2 not tabulated"):
+        sy.essential_ball_bounds(1, 2, 3).row(2)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda a: sy.essential_ball_bounds(a, 2, 3), "n_max"),
+    (lambda a: sy.essential_ball_bounds(2, a, 3), "i_max"),
+    (lambda a: sy.essential_ball_bounds(2, 2, a), "r"),
+    (lambda a: sy.cup_ball_bounds(a, 3), "n_max"),
+    (lambda a: sy.cup_ball_bounds(2, a), "i_max"),
+    (lambda a: sy.delannoy_table(a, 3), "n_max"),
+    (lambda a: sy.delannoy_table(2, a), "i_max"),
+    (lambda a: sy.delannoy_coeff(a, 2), "n"),
+    (lambda a: sy.delannoy_coeff(2, a), "i"),
+    (lambda a: sy.cup_vertex_total(a, 2), "n"),
+    (lambda a: sy.cup_vertex_total(2, a), "r"),
+    (lambda a: sy.essential_ball_bounds(3, 3, 3).value(a, 2), "n"),
+    (lambda a: sy.cup_ball_bounds(3, 3).value(2, a), "i"),
+    (lambda a: sy.cup_ball_bounds(3, 3).row(a), "n"),
+])
+def test_bound_tables_refuse_non_integer_indices(call, name):
+    for bad in (True, False, 2.5, 2.0, 3.5, "2", None, -1):
+        with pytest.raises(ParameterError, match=f"^{name} must be an integer"):
+            call(bad)
+    assert call(np.int64(2)) == call(2)
+
+
+def test_systole_must_be_an_integer_or_inf():
+    for bound in (sy.essential_vertex_lower_bound, sy.essential_vertex_bound_chain,
+                  sy.cup_vertex_lower_bound, sy.fvector_lower_bounds):
+        assert bound(2, np.int64(6)) == bound(2, 6)
+        assert bound(40, np.int64(7)) == bound(40, 7)
+        for bad in (2, 6.0, 2.5, True, "6", None):
+            with pytest.raises(ParameterError, match="systole must be an integer at least 3"):
+                bound(2, bad)
 
 
 def test_essential_table_matches_golden_at_r20():

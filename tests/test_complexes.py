@@ -14,6 +14,11 @@ def test_full_simplex():
     X = sy.build_complex([[1, 2, 3]])
     assert sy.f_vector(X).counts == (3, 3, 1)
     assert X.has_face((1, 3)) and X.has_face((2,))
+    Y = sy.build_complex([[1, 2, 3], [3, 4]])
+    assert Y.has_face((3, 4)) and Y.has_face((3, 2, 1))
+    assert not Y.has_face((1, 4)) and not Y.has_face((1, 5))
+    assert not Y.has_face((1, 2, 3, 4)) and not Y.has_face((5,))
+    assert Y.has_vertex(4) and not Y.has_vertex(5) and not Y.has_vertex((4,))
 
 
 def test_rp2_f_vector(rp2):
@@ -142,3 +147,5 @@ def test_tuple_vertex_labels_are_supported():
     X = sy.build_complex([[(1, 0), (2, 0)], [(2, 0), (1, 1)]])
     assert X.num_vertices == 3
     assert X.has_face(((1, 0), (2, 0)))
+    assert not X.has_face(((1, 0), (1, 1)))
+    assert X.has_vertex((1, 1)) and not X.has_vertex(1)

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 import systola as sy
 from systola.errors import CapacityError, DimensionError, ParameterError
-from systola.essential import _exhaustive, _heuristic
+from systola.essential import _heuristic
+from systola.gf2 import _bits
 
-from conftest import brute_cover_trivial_over, graph_girth, simple_cycles
+from conftest import (brute_cover_trivial_over, graph_girth, reference_heuristic,
+                      simple_cycles)
 
 
 def test_forest_criterion_cases():
@@ -59,20 +61,21 @@ def test_odd_complete_graphs_essentiality_boundary():
         assert sy.combinatorial_essentiality(k, n + 1).essential is False
 
 
-def test_exhaustive_search_tests_each_distinct_block_once():
+def test_exhaustive_search_tests_each_distinct_block_once(monkeypatch):
     k13 = sy.gen_named("complete-13")
     tested = []
+    real = sy.essential.potential_is_consistent
 
-    def test(block):
-        tested.append(frozenset(block))
-        return sy.is_inessential_graph(k13, block)
+    def recording(steps, block):
+        tested.append(block)
+        return real(steps, block)
 
-    # K13 is 6-essential: without the per-search verdicts the search would
+    monkeypatch.setattr(sy.essential, "potential_is_consistent", recording)
+    # K13 is 6-essential: without the shared verdicts the search would
     # make 178,132 block tests of these 363 blocks
-    assert _exhaustive(list(k13.vertices), 6, test) is None
-    assert len(tested) == len(set(tested)) == 363
     verdict = sy.combinatorial_essentiality(k13, 6)
-    assert verdict.essential is True and verdict.block_tests == 363
+    assert verdict.essential is True
+    assert len(tested) == len(set(tested)) == verdict.block_tests == 363
 
 
 def test_block_tests_count_the_heuristic_calls(monkeypatch):
@@ -88,8 +91,12 @@ def test_block_tests_count_the_heuristic_calls(monkeypatch):
     monkeypatch.setattr(sy.essential, "is_pi_inessential", counting)
     v = sy.combinatorial_essentiality(Q, 4, cover=cover, mode="heuristic",
                                       budget_ms=600_000, seed=0)
-    # the witness re-check tests each block once more, outside the count
-    assert v.block_tests == len(calls) - len(v.witness) > 0
+    # the witness re-check tests each block once more, outside the count;
+    # before it every call is a new block (a verdict kept per label would
+    # make 231 calls on these 182 blocks)
+    searched = calls[:-len(v.witness)]
+    assert v.block_tests == len(searched) == len(set(searched)) == 182
+    assert calls[-len(v.witness):] == list(v.witness.blocks)
 
 
 def test_monotonicity_in_n():
@@ -234,20 +241,24 @@ class _CountingRandom(random.Random):
 
 def test_heuristic_retests_only_the_two_blocks_a_move_touches():
     k7 = sy.gen_named("complete-7")
-    vertices = list(k7.vertices)
-    tested = []
-
-    def test(block):
-        tested.append(frozenset(block))
-        return sy.is_inessential_graph(k7, block)
-
-    rng = _CountingRandom(1)
-    # K7 is 3-essential, so the one round runs all its 4m moves
-    assert _heuristic(vertices, 3, test, rng, time.monotonic() + 600, max_rounds=1) is None
+    vertices = k7.vertices
     m = len(vertices)
+    rng = _CountingRandom(1)
+    asked = {}  # move number -> the blocks asked about before that move
+    verdicts = {}
+
+    def passes(mask):
+        asked.setdefault(len(rng.draws) - m, set()).add(mask)
+        if mask not in verdicts:
+            verdicts[mask] = sy.is_inessential_graph(k7, {vertices[i] for i in _bits(mask)})
+        return verdicts[mask]
+
+    # K7 is 3-essential, so the one round runs all its 4m moves
+    assert _heuristic(m, 3, passes, rng, time.monotonic() + 600, max_rounds=1) is None
     moves = len(rng.draws) - m  # one randrange per initial label, then one per move
     assert moves == 4 * m
-    assert len(tested) <= len(set(rng.draws[:m])) + 2 * moves
+    assert all(len(asked[k] - asked[k - 1]) <= 2 for k in range(1, moves))
+    assert len(verdicts) <= len(set(rng.draws[:m])) + 2 * moves
 
 
 @st.composite
@@ -286,10 +297,8 @@ def _first_witness_by_brute_force(vertices, n, trivial):
     return None
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(_search_cases(), st.data())
-def test_exhaustive_search_agrees_with_brute_force_partitions(case, data):
-    X, cover, n = case
+def _brute_block_test(X, cover):
+    """The brute-force block oracle of a search case, run once per block."""
     adj = X.adjacency()
     verdicts = {}
 
@@ -299,6 +308,15 @@ def test_exhaustive_search_agrees_with_brute_force_partitions(case, data):
                                else brute_cover_trivial_over(cover, block))
         return verdicts[block]
 
+    return trivial
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_search_cases(), st.data())
+def test_exhaustive_search_agrees_with_brute_force_partitions(case, data):
+    X, cover, n = case
+    adj = X.adjacency()
+    trivial = _brute_block_test(X, cover)
     expected = _first_witness_by_brute_force(list(X.vertices), n, trivial)
     v = sy.combinatorial_essentiality(X, n, cover=cover)
     assert v.essential == (expected is None)
@@ -306,6 +324,26 @@ def test_exhaustive_search_agrees_with_brute_force_partitions(case, data):
     if cover is None:
         W = data.draw(st.sets(st.sampled_from(X.vertices)))
         assert sy.is_inessential_graph(X, W) == (not simple_cycles(adj, W))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_search_cases())
+def test_heuristic_agrees_with_the_reference_heuristic(case):
+    X, cover, n = case
+    vertices = X.vertices
+    trivial = _brute_block_test(X, cover)
+
+    def passes(mask):
+        return trivial(frozenset(vertices[i] for i in _bits(mask)))
+
+    for seed in range(4):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        deadline = time.monotonic() + 600
+        found = _heuristic(len(vertices), n, passes, ours, deadline, max_rounds=2)
+        expected = reference_heuristic(list(vertices), n, trivial, theirs, deadline, max_rounds=2)
+        assert (None if found is None else
+                [frozenset(vertices[i] for i in _bits(mask)) for mask in found]) == expected
+        assert ours.getstate() == theirs.getstate()
 
 
 def test_vertex_count_consistency_with_systole_bound():
