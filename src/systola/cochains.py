@@ -207,36 +207,64 @@ def class_is_nonzero(c: CochainK) -> bool:
 def h1_basis(X: SimplicialComplex) -> list[Cochain1]:
     """Cocycles whose classes form a basis of H^1(X; Z2).
 
-    Computed as ker(delta^1) modulo im(delta^0): ``gf2.kernel_basis`` gives
-    one cocycle per free edge coordinate by back-substitution, and each is
-    kept if it is independent of the vertex stars and the cocycles kept
-    before it.  Deterministic for a fixed complex.
+    The cocycles are what ``gf2.kernel_basis`` gives for the full triangle
+    system, one per free edge coordinate in ascending order, each kept (as
+    its residual) if it is independent of the vertex stars and of the
+    vectors before it.  Deterministic for a fixed complex.  The full system
+    is never eliminated:
+
+    * The pivots of a lowest-bit echelon are the lowest bits of its row
+      space, whatever the insertion order.  So the free coordinates are the
+      highest bits of the kernel Z^1, and the kernel vector of a free f is
+      the one cocycle with highest bit f that vanishes on every other free
+      coordinate.
+    * Z^1 is the coboundaries plus the cocycles that vanish on T, the
+      spanning forest that Kruskal builds from the highest edge index down.
+      The highest bits of the coboundaries are the edges of T; the rest of
+      the free set is the set C of highest bits of cocycles vanishing on T.
+    * Those cocycles come from gauge fixing: ground the tree edges and peel
+      the triangles (``gf2.Contraction.peel``): one left with one edge
+      grounds it, one left with two joins them, again on the projections
+      onto the current classes until nothing changes.  The few triangles
+      left go to ``kernel_basis`` over the classes, numbered by their
+      highest edge, so its k-th vector expands to the kernel vector K_c of
+      the k-th c in C.
+    * The kernel vector of a forest edge j is its fundamental cut plus the
+      K_c of every c whose tree path crosses j.  Each such c is below j (T
+      took every edge of that path before it reached c), so the vector is
+      in the span of the stars and of the K_c inserted before it: it
+      reduces to 0 and leaves the echelon unchanged.  Only the K_c are
+      inserted, and each leaves a residual, since no nonzero coboundary
+      vanishes on T.
     """
     edges = sorted(X.faces(1))
-    m = len(edges)
     eidx = {e: i for i, e in enumerate(edges)}
-    constraints = []
-    for a, b, d in sorted(X.faces(2)):
-        constraints.append((1 << eidx[(a, b)]) | (1 << eidx[(b, d)]) | (1 << eidx[(a, d)]))
-    kernel = gf2.kernel_basis(constraints, m)
-    stars = gf2.Echelon()
-    for v in X.vertices:
-        bits = 0
-        for u in X.adjacency()[v]:
-            bits |= 1 << eidx[tuple(sorted((u, v)))]
-        stars.insert(bits)
+    vi = X.vertex_index()
+    forest = gf2.Contraction()
+    uf = gf2.Contraction()
+    for i in range(len(edges) - 1, -1, -1):
+        u, v = edges[i]
+        if forest.join(vi[u], vi[v]):
+            uf.join(i)  # a tree edge: ground it
+    heavy = uf.peel([(eidx[(a, b)], eidx[(b, d)], eidx[(a, d)]) for a, b, d in X.faces(2)])
+    members = {}
+    for i in range(len(edges)):
+        if (r := uf.find(i)) != gf2._GROUND:
+            members.setdefault(r, []).append(i)
+    roots = sorted(members, key=lambda r: members[r][-1])
+    cid = {r: k for k, r in enumerate(roots)}
+    kernel = gf2.kernel_basis([gf2._vector(cid[r] for r in s) for s in heavy], len(roots))
+    if not kernel:
+        return []
     reps = gf2.Echelon()
-    reps.rows.update(stars.rows)
+    adj = X.adjacency()
+    for v in X.vertices:
+        reps.insert(gf2._vector(eidx[(u, v) if u < v else (v, u)] for u in adj[v]))
     out = []
-    for vec in kernel:
-        residual = reps.insert(vec)
-        if residual:
-            out.append(residual)
-    basis = []
-    for bits in out:
-        vals = {edges[i]: 1 for i in range(m) if bits >> i & 1}
-        basis.append(Cochain1(X, vals, RING_Z2))
-    return basis
+    for x in kernel:
+        residual = reps.insert(gf2._vector(i for k in gf2._bits(x) for i in members[roots[k]]))
+        out.append(Cochain1(X, {edges[i]: 1 for i in gf2._bits(residual)}, RING_Z2))
+    return out
 
 
 def potential_is_consistent(steps, W, modulus=None) -> bool:

@@ -37,7 +37,7 @@ class SimplicialComplex:
     assumes canonical, pairwise non-nested facets.
     """
 
-    __slots__ = ("facets", "vertices", "_faces", "_adjacency", "_vertex_index")
+    __slots__ = ("facets", "vertices", "_faces", "_adjacency", "_vertex_index", "_derived")
 
     def __init__(self, facets):
         self.facets = tuple(sorted(facets, key=lambda f: (len(f), f)))
@@ -48,6 +48,7 @@ class SimplicialComplex:
         self._faces = {}
         self._adjacency = None
         self._vertex_index = None
+        self._derived = {}
 
     # -- basic queries -------------------------------------------------
 
@@ -107,6 +108,12 @@ class SimplicialComplex:
         if self._vertex_index is None:
             self._vertex_index = {v: i for i, v in enumerate(self.vertices)}
         return self._vertex_index
+
+    def derived(self, key, build):
+        """``build(self)``, computed on the first call for ``key`` and cached."""
+        if key not in self._derived:
+            self._derived[key] = build(self)
+        return self._derived[key]
 
     # -- dunder --------------------------------------------------------
 

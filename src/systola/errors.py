@@ -32,7 +32,7 @@ class QuotientError(SystolaError, ValueError):
 
 
 class CapacityError(SystolaError, ValueError):
-    """An exhaustive search was requested beyond its feasible input size."""
+    """A search or construction was requested beyond its feasible input size."""
 
 
 class ParameterError(SystolaError, ValueError):

@@ -91,7 +91,8 @@ def is_inessential_graph(X: SimplicialComplex, W) -> bool:
     Only valid for complexes of dimension at most 1, where subgraph
     inclusions inject fundamental groups.  Decided as the potential check
     of the free cochain on <W>: a signed sum of distinct powers of two is
-    never 0, so a potential exists iff <W> has no cycle.
+    never 0, so a potential exists iff <W> has no cycle.  Its step table is
+    built once per complex.
     """
     if X.dim > 1:
         raise DimensionError("forest criterion applies to 1-dimensional complexes")
@@ -108,14 +109,19 @@ def subdivision_vertex_lower_bound(n: int) -> int:
     return (n + 1) * (n + 2) // 2
 
 
+def _forest_steps(X):
+    """Step table of the free cochain, 2**i on the i-th sorted edge."""
+    free = {e: 1 << i for i, e in enumerate(sorted(X.faces(1)))}
+    return Cochain1(X, free, RING_Z).step_table()
+
+
 def _block_test(X, cover):
     if cover is not None:
         if not isinstance(cover, Cover):
             raise ParameterError("cover must be a Cover instance")
         return lambda block: is_pi_inessential(cover, block)
     if X.dim <= 1:
-        free = {e: 1 << i for i, e in enumerate(sorted(X.faces(1)))}
-        steps = Cochain1(X, free, RING_Z).step_table()
+        steps = X.derived("forest_steps", _forest_steps)
         return lambda block: potential_is_consistent(steps, block)
     raise ParameterError(
         "essentiality for complexes of dimension > 1 needs an explicit cover")

@@ -25,7 +25,9 @@ from itertools import combinations
 
 from .cochains import RING_Z2, Cochain1
 from .complexes import SimplicialComplex
-from .errors import ParameterError, QuotientError
+from .errors import CapacityError, ParameterError, QuotientError, require_int
+
+MAX_QUOTIENT_FACETS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -85,15 +87,30 @@ def _add_layers(sc: SymmetricComplex, s: int) -> SymmetricComplex:
     return SymmetricComplex(SimplicialComplex(facets), involution, labels)
 
 
+def quotient_facet_count(n: int, s: int) -> int:
+    """Facets of the antipodal quotient of ``gen_symmetric_sphere(n, s)``:
+    the product of k*s - 2(k-1) over k = 1..n (half the sphere's facets)."""
+    count = 1
+    for k in range(1, n + 1):
+        count *= k * s - 2 * (k - 1)
+    return count
+
+
 def gen_symmetric_sphere(n: int, s: int) -> SymmetricComplex:
     """Centrally symmetric n-sphere with antipodal edge-distance at least s.
 
     Vertex count is (s-1) * |V(previous)| + 2 per step, at most 2 s^n.
+    ``n`` and ``s`` must be integers (bools refused), and a sphere whose
+    quotient would have more than ``MAX_QUOTIENT_FACETS`` facets is
+    refused with a CapacityError before anything is built.
     """
-    if n < 1:
-        raise ParameterError("dimension must be at least 1")
-    if s < 3:
-        raise ParameterError("s < 3 would identify edge endpoints in the quotient")
+    n = require_int(n, "n", 1)
+    s = require_int(s, "s", 3)  # s < 3 would identify edge endpoints in the quotient
+    facets = quotient_facet_count(n, s)
+    if facets > MAX_QUOTIENT_FACETS:
+        raise CapacityError(
+            f"the ({n}, {s}) quotient would have {facets:,} facets, above the "
+            f"cap of {MAX_QUOTIENT_FACETS:,}")
     sc = _polygon_sphere(s)
     for _ in range(n - 1):
         sc = _add_layers(sc, s)

@@ -3,12 +3,16 @@
 Vectors are Python ints; bit i is coordinate i.  Elimination always
 pivots on the lowest set bit, so every reduction is deterministic.
 
-``in_span`` first contracts the vectors of weight at most 2 in a
-union-find: a weight-1 vector grounds its coordinate, a weight-2 vector
-joins its two.  Modulo their span a vector is its parity on each
-ungrounded class, so only the heavier vectors, projected that way, go
-through elimination.  A top-degree class on a pseudomanifold has only
-weight-2 columns and is decided by union-find alone.
+``Contraction`` is the one union-find over coordinates, with a ground
+class.  Its ``peel`` contracts the vectors (as coordinate lists) of weight
+at most 2 -- weight 1 grounds a coordinate, weight 2 joins two -- and
+repeats on the projections of the rest until nothing changes.  Modulo
+what was contracted a vector is its parity on each ungrounded class, so
+only the projections left with weight 3 or more are eliminated.
+``in_span`` decides membership this way; a top-degree class on a
+pseudomanifold has only weight-2 columns and is decided by union-find
+alone.  ``cochains.h1_basis`` peels the triangle system after grounding
+a spanning forest's edges.
 
 ``kernel_basis`` eliminates without reducing above the pivots, then
 solves for every pivot coordinate in one descending pass, carrying all
@@ -51,13 +55,29 @@ class Echelon:
         return len(self.rows)
 
 
-def _bits(vec: int):
+def _bits(vec: int) -> list[int]:
     """Indices of the set bits of vec, ascending."""
+    out = []
+    if vec.bit_count() <= 8:  # sparse: peel the lowest bit, no string
+        while vec:
+            low = vec & -vec
+            out.append(low.bit_length() - 1)
+            vec ^= low
+        return out
     s = bin(vec)[:1:-1]
     i = s.find("1")
     while i >= 0:
-        yield i
+        out.append(i)
         i = s.find("1", i + 1)
+    return out
+
+
+def _vector(support) -> int:
+    """The vector with the given set bits (the inverse of ``_bits``)."""
+    x = 0
+    for i in support:
+        x |= 1 << i
+    return x
 
 
 def rank(vectors) -> int:
@@ -65,44 +85,89 @@ def rank(vectors) -> int:
     return sum(1 for v in vectors if ech.insert(v))
 
 
-def in_span(vectors, target: int) -> bool:
-    """True iff target is a sum of some of the vectors."""
-    parent = {}
+class Contraction:
+    """Union-find over coordinates with a ground class that stays a root.
 
-    def find(i):
-        root = i
+    Modulo the span of the supports joined so far, a vector equals its
+    parity on each ungrounded class (``project``).
+    """
+
+    __slots__ = ("parent",)
+
+    def __init__(self):
+        self.parent = {}
+
+    def find(self, i):
+        parent = self.parent
+        root = parent.get(i, i)
+        if root == i or parent.get(root, root) == root:
+            return root
         while (up := parent.get(root, root)) != root:
             root = up
         while i != root:
             parent[i], i = root, parent[i]
         return root
 
-    heavy = []
-    for v in vectors:
-        low = v & -v
-        high = v ^ low
-        if high & (high - 1):
-            heavy.append(v)
-        elif v:
-            a = find(low.bit_length() - 1)
-            b = find(high.bit_length() - 1) if high else _GROUND
-            if a == _GROUND:  # the ground stays a root
-                a, b = b, a
-            if a != b:
-                parent[a] = b
+    def join(self, a, b=_GROUND) -> bool:
+        """Merge the classes of a and b (b the ground by default); True iff
+        they were apart.  The ground stays a root."""
+        a, b = self.find(a), self.find(b)
+        if a == b:
+            return False
+        if a == _GROUND:
+            a, b = b, a
+        self.parent[a] = b
+        return True
 
-    def project(v):
-        out = 0
-        for i in _bits(v):
-            r = find(i)
-            if r != _GROUND:
-                out ^= 1 << r
-        return out
+    def project(self, support) -> set:
+        """Roots of the ungrounded classes that support meets an odd number
+        of times."""
+        get = self.parent.get
+        odd = set()
+        for i in support:
+            r = get(i, i)
+            if get(r, r) != r:
+                r = self.find(r)
+            if r in odd:
+                odd.remove(r)
+            elif r != _GROUND:
+                odd.add(r)
+        return odd
 
+    def peel(self, supports) -> list:
+        """Contract the supports (coordinate sequences) of weight at most 2.
+
+        A support of weight 1 grounds its class, one of weight 2 merges its
+        two classes.  Each pass projects the remaining supports onto the
+        current classes and contracts those left with weight at most 2;
+        passes repeat until one contracts nothing.  Returns the rest,
+        projected onto the final roots and each of weight at least 3:
+        modulo what was contracted they span what the supports do.
+        """
+        join, project = self.join, self.project
+        heavy = supports
+        while True:
+            rest = []
+            for s in heavy:
+                if len(s) > 2:
+                    s = project(s)
+                    if len(s) > 2:
+                        rest.append(s)
+                        continue
+                if s:
+                    join(*s)
+            if len(rest) == len(heavy):
+                return rest
+            heavy = rest
+
+
+def in_span(vectors, target: int) -> bool:
+    """True iff target is a sum of some of the vectors."""
+    uf = Contraction()
     ech = Echelon()
-    for v in heavy:
-        ech.insert(project(v))
-    return ech.reduce(project(target)) == 0
+    for s in uf.peel([_bits(v) for v in vectors]):
+        ech.insert(_vector(s))
+    return ech.reduce(_vector(uf.project(_bits(target)))) == 0
 
 
 def kernel_basis(constraints, n_cols: int) -> list[int]:

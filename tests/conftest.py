@@ -14,7 +14,7 @@ from collections import deque
 import pytest
 
 import systola as sy
-from systola.gf2 import Echelon
+from systola.gf2 import Echelon, kernel_basis
 
 
 # -- fixture complexes -------------------------------------------------------
@@ -277,6 +277,33 @@ def brute_in_span(vectors, target):
     for v in vectors:
         ech.insert(v)
     return ech.reduce(target) == 0
+
+
+def reference_h1_basis(X):
+    """H^1 basis by eliminating every triangle constraint: one kernel vector
+    per free edge coordinate from ``kernel_basis`` on the full system, each
+    kept as its residual against the vertex stars and the vectors kept
+    before it."""
+    edges = sorted(X.faces(1))
+    m = len(edges)
+    eidx = {e: i for i, e in enumerate(edges)}
+    constraints = []
+    for a, b, d in sorted(X.faces(2)):
+        constraints.append((1 << eidx[(a, b)]) | (1 << eidx[(b, d)]) | (1 << eidx[(a, d)]))
+    kernel = kernel_basis(constraints, m)
+    reps = Echelon()
+    for v in X.vertices:
+        bits = 0
+        for u in X.adjacency()[v]:
+            bits |= 1 << eidx[tuple(sorted((u, v)))]
+        reps.insert(bits)
+    basis = []
+    for vec in kernel:
+        residual = reps.insert(vec)
+        if residual:
+            vals = {edges[i]: 1 for i in range(m) if residual >> i & 1}
+            basis.append(sy.Cochain1(X, vals, sy.RING_Z2))
+    return basis
 
 
 # -- essentiality oracle: the heuristic with a verdict per label ---------------

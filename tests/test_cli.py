@@ -188,6 +188,12 @@ def test_usage_and_error_exit_codes(tmp_path, capsys):
     assert code == 1 and "fiber" in err
 
 
+def test_gen_refuses_an_oversized_quotient(tmp_path, capsys):
+    out = tmp_path / "big.cx"
+    code, _, err = run(capsys, "gen", "rp", "--dim", "9", "--systole", "3", "-o", str(out))
+    assert code == 1 and "facets" in err and not out.exists()
+
+
 def test_env_threads_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SYSTOLA_THREADS", "2")
     csv_path = tmp_path / "env.csv"

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import random
 
@@ -9,7 +10,7 @@ import systola as sy
 from systola.cochains import coboundary, vertex_coboundary
 from systola.errors import DimensionError, DomainError
 
-from conftest import brute_restriction_is_zero, parity_class_is_nonzero
+from conftest import brute_restriction_is_zero, parity_class_is_nonzero, reference_h1_basis
 
 
 def _random_cochain(X, rng, ring=sy.RING_Z2):
@@ -61,6 +62,9 @@ H1_DIGESTS = {
     "torus-seven": "2d5a2eb4d72a86ca4b9144b5eb087158372b8dc6ca1e80072c260cc0ae261d51",
     (3, 8): "21cdcc32464d29ca6f0e72d2f826cb0bc757963b7cc55937b5285a47561a088f",
     (4, 4): "14fc063d75dc0b5dcab2abacfb299940bb6fe93efd3c06dea345bb3cd0894e65",
+    (2, 6): "01380a7c641f271e69bdfe627f59fb11cbab767db9feea0e179f77ef761a68b4",
+    (3, 5): "babae86baaecb6e0bd6331d32d0097df262ede01c11d92e5f84a537173d4ba6e",
+    (4, 5): "519ffb397fd38e9610f5bcc9626f712311d8174420cc6388badecdab2217f253",
 }
 
 
@@ -72,6 +76,62 @@ def test_h1_basis_output_is_pinned(key):
         h.update(repr(sorted(c.values)).encode())
         h.update(b"\0")
     assert h.hexdigest() == H1_DIGESTS[key]
+
+
+@functools.cache
+def _closed_complexes():
+    return (sy.gen_named("rp2-six"), sy.gen_named("torus-seven"),
+            sy.gen_projective_space(2, 4)[0], sy.gen_projective_space(3, 3)[0])
+
+
+def _random_complex(rng):
+    """Either a random thinning of a small closed surface or 3-manifold,
+    some facets broken into their ridges (so peeling leaves triangles for
+    the elimination), or up to three vertex-disjoint blocks of random faces
+    of dimension at most 3, with isolated vertices and closed polygons.
+    Labels may start at -1."""
+    if rng.random() < 0.3:
+        keep = rng.choice([0.5, 0.8, 0.95, 1.0])
+        facets = []
+        for f in rng.choice(_closed_complexes()).facets:
+            if rng.random() < keep:
+                ridges = [f[:i] + f[i + 1:] for i in range(len(f)) if rng.random() < 0.7]
+                facets += ridges if rng.random() < 0.1 else [f]
+        return sy.build_complex(facets or [(0,)])
+    facets = []
+    lo = rng.choice([-1, 0, 5])
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randint(1, 8)
+        verts = list(range(lo, lo + k))
+        for _ in range(rng.randint(1, 14)):
+            facets.append(rng.sample(verts, rng.randint(1, min(4, k))))
+        if k >= 3 and rng.random() < 0.3:
+            facets += [(verts[i], verts[(i + 1) % k]) for i in range(k)]
+        lo += k
+    return sy.build_complex(facets)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 31))
+def test_h1_basis_equals_full_elimination(seed):
+    X = _random_complex(random.Random(seed))
+    assert sy.h1_basis(X) == reference_h1_basis(X)
+
+
+@pytest.mark.parametrize("facets", [
+    [(i, (i + 1) % 7) for i in range(7)],
+    [(i, (i + 1) % 4) for i in range(4)] + [(10 + i, 10 + (i + 1) % 5) for i in range(5)] + [(20,)],
+    list(sy.gen_complete_graph(7).facets),
+    [(1, 2, 3), (3, 4), (4, 5), (5, 1), (-1,), (7, 8)],
+], ids=["polygon", "two-polygons-and-a-point", "K7", "triangle-with-handle"])
+def test_h1_basis_on_graphs_and_disconnected_complexes(facets):
+    # on a graph every edge off the spanning forest is free
+    X = sy.build_complex(facets)
+    basis = sy.h1_basis(X)
+    assert basis == reference_h1_basis(X)
+    if X.dim == 1:
+        rank = len(X.faces(1)) - X.num_vertices + len(X.components())
+        assert len(basis) == rank
 
 
 def test_h1_basis_members_are_noncoboundary_cocycles(rp2, torus7):

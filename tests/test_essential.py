@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import systola as sy
+from systola import essential
 from systola.errors import CapacityError, DimensionError, ParameterError
 from systola.essential import _heuristic
 from systola.gf2 import _bits
@@ -25,6 +26,22 @@ def test_forest_criterion_cases():
     assert sy.is_inessential_graph(path, {1, 2, 3, 4})
     two_points = sy.build_complex([[1, 2], [3, 4]])
     assert sy.is_inessential_graph(two_points, {1, 3})
+
+
+def test_forest_step_table_is_built_once_per_complex(monkeypatch):
+    built = []
+    real = essential._forest_steps
+    monkeypatch.setattr(essential, "_forest_steps", lambda X: built.append(X) or real(X))
+    X = sy.build_complex([[1, 2], [2, 3], [1, 3], [3, 4], [4, 5], [5, 6], [6, 4], [7, 8]])
+    adj = X.adjacency()
+    subsets = [set(W) for k in range(len(X.vertices) + 1)
+               for W in itertools.combinations(X.vertices, k)]
+    first = [sy.is_inessential_graph(X, W) for W in subsets]
+    assert len(built) == 1
+    second = [sy.is_inessential_graph(X, W) for W in subsets]
+    assert first == second == [not simple_cycles(adj, W) for W in subsets]
+    assert sy.combinatorial_essentiality(X, 2).essential is False
+    assert built == [X]
 
 
 def test_forest_criterion_rejects_higher_dimension(rp2):

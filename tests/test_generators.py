@@ -4,8 +4,9 @@ import pytest
 
 import systola as sy
 from systola.complexes import SimplicialComplex
-from systola.errors import ParameterError, QuotientError
-from systola.generators import SymmetricComplex
+from systola import generators
+from systola.errors import CapacityError, ParameterError, QuotientError
+from systola.generators import MAX_QUOTIENT_FACETS, SymmetricComplex, quotient_facet_count
 
 
 def _check_symmetry(sc: SymmetricComplex):
@@ -62,6 +63,30 @@ def test_parameter_errors():
         sy.gen_symmetric_sphere(0, 3)
     with pytest.raises(ParameterError):
         sy.gen_symmetric_sphere(2, 2)
+
+
+@pytest.mark.parametrize("n, s", [(True, 4), (2.0, 4), (2, 4.0), (1, True), ("2", 4)])
+def test_sphere_size_arguments_are_not_coerced(n, s):
+    with pytest.raises(ParameterError):
+        sy.gen_symmetric_sphere(n, s)
+
+
+def test_quotient_facet_count_matches_the_built_quotients():
+    for n in range(1, 4):
+        for s in range(3, 9):
+            Q, _ = sy.quotient(sy.gen_symmetric_sphere(n, s))
+            assert len(Q.facets) == quotient_facet_count(n, s)
+    assert quotient_facet_count(4, 8) == 8 * 14 * 20 * 26
+    assert quotient_facet_count(5, 6) == 332_640
+
+
+def test_oversized_sphere_is_refused_before_building(monkeypatch):
+    monkeypatch.setattr(generators, "_polygon_sphere", None)  # nothing may be built
+    assert quotient_facet_count(9, 3) > MAX_QUOTIENT_FACETS
+    with pytest.raises(CapacityError, match="facets"):
+        sy.gen_symmetric_sphere(9, 3)
+    with pytest.raises(CapacityError):
+        sy.gen_symmetric_sphere(4, 40)
 
 
 def test_layer_structure_of_suspension():
