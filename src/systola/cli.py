@@ -18,7 +18,7 @@ from . import bounds as bounds_mod
 from .cochains import RING_Z, RING_Z2, class_is_nonzero, cup_power, h1_basis
 from .complexes import barycentric_subdivision
 from .covers import build_cover, cover_systole, homology_triviality_radius, \
-    homotopy_triviality_radius, loop_norm
+    homotopy_triviality_radius
 from .errors import SystolaError
 from .essential import combinatorial_essentiality
 from .generators import gen_complete_graph, gen_named, gen_polygon, \
@@ -53,17 +53,11 @@ def _parse_fiber(text: str):
     text = text.lower()
     if text == "z2":
         return RING_Z2, 2
-    if text.startswith("z") and text[1:].isdigit() and int(text[1:]) >= 2:
-        n = int(text[1:])
+    digits = text[1:]
+    if text.startswith("z") and digits.isascii() and digits.isdigit() and int(digits) >= 2:
+        n = int(digits)
         return (RING_Z2, 2) if n == 2 else (RING_Z, n)
     raise _UsageError(f"bad fiber {text!r}; expected z2 or zN")
-
-
-def _load_cover(args):
-    X = read_complex(args.complex)
-    ring, fiber = _parse_fiber(getattr(args, "fiber", "z2"))
-    xi = read_cochain(args.cocycle, X, ring)
-    return X, build_cover(X, xi, fiber)
 
 
 def _fraction(text: str) -> Fraction:
@@ -114,18 +108,13 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_systole(args) -> int:
-    _, cover = _load_cover(args)
-    value = cover_systole(cover)
-    _emit(args, _fmt(value), {"systole": _fmt(value)})
-    return 0
-
-
-def _cmd_lnorm(args) -> int:
+    """``systole`` and ``lnorm``: the same number (``loop_norm`` is the cover
+    systole), reported under the subcommand's JSON key."""
     X = read_complex(args.complex)
     ring, fiber = _parse_fiber(args.fiber)
     xi = read_cochain(args.cocycle, X, ring)
-    value = loop_norm(X, xi, fiber)
-    _emit(args, _fmt(value), {"loop_norm": _fmt(value)})
+    value = cover_systole(build_cover(X, xi, fiber))
+    _emit(args, _fmt(value), {args.key: _fmt(value)})
     return 0
 
 
@@ -278,19 +267,14 @@ def build_parser() -> argparse.ArgumentParser:
         _add_json(sp)
         sp.set_defaults(func=_cmd_gen)
 
-    s = sub.add_parser("systole", help="cover-relative systole from a cocycle")
-    s.add_argument("complex")
-    s.add_argument("--cocycle", required=True)
-    s.add_argument("--fiber", default="z2", help="z2 (double) or zN (cyclic)")
-    _add_json(s)
-    s.set_defaults(func=_cmd_systole)
-
-    ln = sub.add_parser("lnorm", help="shortest loop with nontrivial evaluation")
-    ln.add_argument("complex")
-    ln.add_argument("--cocycle", required=True)
-    ln.add_argument("--fiber", default="z2")
-    _add_json(ln)
-    ln.set_defaults(func=_cmd_lnorm)
+    for name, key, text in (("systole", "systole", "cover-relative systole from a cocycle"),
+                            ("lnorm", "loop_norm", "shortest loop with nontrivial evaluation")):
+        s = sub.add_parser(name, help=text)
+        s.add_argument("complex")
+        s.add_argument("--cocycle", required=True)
+        s.add_argument("--fiber", default="z2", help="z2 (double) or zN (cyclic)")
+        _add_json(s)
+        s.set_defaults(func=_cmd_systole, key=key)
 
     r = sub.add_parser("radius", help="triviality radii")
     r.add_argument("which", choices=("homotopy", "homology"))
@@ -378,7 +362,7 @@ def main(argv=None) -> int:
     except SystolaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

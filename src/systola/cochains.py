@@ -178,10 +178,15 @@ def class_is_nonzero(c: CochainK) -> bool:
     """True iff c, assumed a cocycle, is not a Z2 coboundary.
 
     Decided by whether the target lies in the span of the coboundaries of
-    the (k-1)-faces (``gf2.in_span``).  Columns of weight 2 are contracted
-    by union-find before any elimination; in top degree on a closed
-    pseudomanifold every column has weight 2, so c is nonzero iff its
-    support is odd on some component of the dual graph.
+    the (k-1)-faces (``gf2.in_span``).  Each column is passed as its
+    support, the indices of the k-faces that contain the (k-1)-face, and
+    the target as the indices of c's support.  Columns of weight 2 are
+    contracted by union-find before any elimination; in top degree on a
+    closed pseudomanifold every column has weight 2, so c is nonzero iff
+    its support is odd on some component of the dual graph.  The verdict
+    does not depend on the order of faces or columns, but the fill-in of
+    the elimination below top degree does: k-faces are indexed in sorted
+    order and columns come in sorted (k-1)-face order.
     """
     if c.degree < 1:
         raise DimensionError("degree must be at least 1")
@@ -191,17 +196,12 @@ def class_is_nonzero(c: CochainK) -> bool:
     k = c.degree
     kfaces = sorted(X.faces(k))
     fidx = {f: i for i, f in enumerate(kfaces)}
-    target = 0
-    for f in c.support:
-        target |= 1 << fidx[f]
     columns = {}
-    for f in kfaces:
-        bit = 1 << fidx[f]
-        for i in range(k + 1):
-            columns.setdefault(f[:i] + f[i + 1:], 0)
-            columns[f[:i] + f[i + 1:]] |= bit
+    for i, f in enumerate(kfaces):
+        for j in range(k + 1):
+            columns.setdefault(f[:j] + f[j + 1:], []).append(i)
     cols = [columns[t] for t in sorted(columns)]
-    return not gf2.in_span(cols, target)
+    return not gf2.in_span(cols, [fidx[f] for f in c.support])
 
 
 def h1_basis(X: SimplicialComplex) -> list[Cochain1]:

@@ -1,7 +1,10 @@
 """GF(2) linear algebra on integer bitsets.
 
-Vectors are Python ints; bit i is coordinate i.  Elimination always
-pivots on the lowest set bit, so every reduction is deterministic.
+``Echelon`` and ``kernel_basis`` take vectors as Python ints, bit i
+coordinate i.  Elimination always pivots on the lowest set bit, so every
+reduction is deterministic.  ``in_span`` takes each vector as its
+support, a sequence of coordinates, and builds ints only for the
+projections that the contraction leaves.
 
 ``Contraction`` is the one union-find over coordinates, with a ground
 class.  Its ``peel`` contracts the vectors (as coordinate lists) of weight
@@ -161,13 +164,16 @@ class Contraction:
             heavy = rest
 
 
-def in_span(vectors, target: int) -> bool:
-    """True iff target is a sum of some of the vectors."""
+def in_span(supports: list, target) -> bool:
+    """True iff target is a sum of some of the vectors with these supports.
+
+    Each vector, and target, is given as its support, a sequence of
+    coordinates."""
     uf = Contraction()
     ech = Echelon()
-    for s in uf.peel([_bits(v) for v in vectors]):
+    for s in uf.peel(supports):
         ech.insert(_vector(s))
-    return ech.reduce(_vector(uf.project(_bits(target)))) == 0
+    return ech.reduce(_vector(uf.project(target))) == 0
 
 
 def kernel_basis(constraints, n_cols: int) -> list[int]:

@@ -77,8 +77,15 @@ def write_complex(X: SimplicialComplex, path) -> None:
     Path(path).write_text(dumps_complex(X))
 
 
+def _read_text(path, kind: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{kind} file {str(path)!r} is not UTF-8: {exc.reason}") from None
+
+
 def read_complex(path) -> SimplicialComplex:
-    return loads_complex(Path(path).read_text())
+    return loads_complex(_read_text(path, "complex"))
 
 
 def dumps_cochain(c: Cochain1) -> str:
@@ -121,4 +128,4 @@ def write_cochain(c: Cochain1, path) -> None:
 
 
 def read_cochain(path, X: SimplicialComplex, ring: str = RING_Z2) -> Cochain1:
-    return loads_cochain(Path(path).read_text(), X, ring)
+    return loads_cochain(_read_text(path, "cochain"), X, ring)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, fields
 from .bounds import cup_vertex_lower_bound, essential_vertex_lower_bound
 from .cochains import class_is_nonzero, cup_power
 from .covers import build_cover, cover_systole, homotopy_triviality_radius
-from .errors import ParameterError
+from .errors import ParameterError, require_int
 from .generators import gen_symmetric_sphere, quotient
 
 FORMAT_VERSION = 1
@@ -128,6 +128,7 @@ def _json_cell(val):
 
 def measure_cell(n: int, s: int, cup_max_dim: int = 3) -> VerificationRow:
     """Generate, quotient, measure and check one grid cell."""
+    require_int(cup_max_dim, "cup_max_dim", 0)
     sphere = gen_symmetric_sphere(n, s)
     Q, xi = quotient(sphere)
     cover = build_cover(Q, xi, 2)
@@ -164,10 +165,11 @@ def verify_grid(n_max: int, s_max: int, seed: int = 0, threads: int = 1,
 
     Rows come in (n, s) order: ``pool.map`` keeps input order.
     """
-    if not 1 <= n_max <= 4:
+    if not 1 <= require_int(n_max, "n_max", 1) <= 4:
         raise ParameterError("n_max must lie in 1..4")
-    if not 3 <= s_max <= 8:
+    if not 3 <= require_int(s_max, "s_max", 3) <= 8:
         raise ParameterError("s_max must lie in 3..8")
+    require_int(seed, "seed", 0)
     cells = [(n, s) for n in range(1, n_max + 1) for s in range(3, s_max + 1)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

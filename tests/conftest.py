@@ -279,6 +279,22 @@ def brute_in_span(vectors, target):
     return ech.reduce(target) == 0
 
 
+def brute_class_is_nonzero(c):
+    """Nonzero test by plain elimination: every coboundary column an int with
+    one bit per k-face, the target tested with ``brute_in_span``."""
+    kfaces = sorted(c.complex.faces(c.degree))
+    fidx = {f: i for i, f in enumerate(kfaces)}
+    target = 0
+    for f in c.support:
+        target |= 1 << fidx[f]
+    columns = {}
+    for f in kfaces:
+        for i in range(len(f)):
+            ridge = f[:i] + f[i + 1:]
+            columns[ridge] = columns.get(ridge, 0) | 1 << fidx[f]
+    return not brute_in_span([columns[t] for t in sorted(columns)], target)
+
+
 def reference_h1_basis(X):
     """H^1 basis by eliminating every triangle constraint: one kernel vector
     per free edge coordinate from ``kernel_basis`` on the full system, each

@@ -29,6 +29,10 @@ def test_gen_and_systole_pipeline(tmp_path, capsys):
     code, stdout, _ = run(capsys, "lnorm", str(out), "--cocycle",
                           str(out) + ".cocycle")
     assert code == 0 and stdout.strip() == "3"
+    for command, key in (("systole", "systole"), ("lnorm", "loop_norm")):
+        code, stdout, _ = run(capsys, command, str(out), "--cocycle",
+                              str(out) + ".cocycle", "--json")
+        assert code == 0 and stdout == '{"%s": "3"}\n' % key
 
 
 def test_gen_round_trip_is_byte_identical(tmp_path, capsys):
@@ -183,9 +187,12 @@ def test_usage_and_error_exit_codes(tmp_path, capsys):
     assert code == 1
     out = tmp_path / "rp2.cx"
     run(capsys, "gen", "rp2-six", "-o", str(out))
-    code, _, err = run(capsys, "systole", str(out),
-                       "--cocycle", str(out) + ".cocycle", "--fiber", "q9")
-    assert code == 1 and "fiber" in err
+    for fiber in ("q9", "z\u00b2"):
+        code, _, err = run(capsys, "systole", str(out),
+                           "--cocycle", str(out) + ".cocycle", "--fiber", fiber)
+        assert code == 1 and "fiber" in err
+    code, _, err = run(capsys, "systole", str(tmp_path), "--cocycle", str(out) + ".cocycle")
+    assert code == 1 and err.startswith("error: ")
 
 
 def test_gen_refuses_an_oversized_quotient(tmp_path, capsys):
@@ -212,12 +219,16 @@ def test_env_threads_fallback(tmp_path, capsys, monkeypatch):
     (None, '{"edges": [[0, 1], [0, 2], [1, 2]], "values": [2, 0, 0]}'),
     (None, '{"edges": [[0, 1], [1, 2]], "values": [1, 0]}'),
     (None, '{"edges": [[0, 1], [0, 2], [1, 2]'),
+    (b'{"facets": [[0, 1], [0, 2], [1, 2]]}\xff', None),
+    (None, b'{"edges": [[0, 1], [0, 2], [1, 2]], "values": [0, 0, 0]}\xff'),
 ])
 def test_malformed_inputs_exit_1(tmp_path, capsys, complex_text, cochain_text):
     # on a 3-cycle every cochain is a cocycle, so only the loader can refuse
     cx, xi = tmp_path / "t.cx", tmp_path / "t.cocycle"
-    cx.write_text(complex_text or '{"facets": [[0, 1], [0, 2], [1, 2]]}')
-    xi.write_text(cochain_text or '{"edges": [[0, 1], [0, 2], [1, 2]], "values": [0, 0, 0]}')
+    for path, data in ((cx, complex_text or '{"facets": [[0, 1], [0, 2], [1, 2]]}'),
+                       (xi, cochain_text
+                        or '{"edges": [[0, 1], [0, 2], [1, 2]], "values": [0, 0, 0]}')):
+        path.write_bytes(data if isinstance(data, bytes) else data.encode())
     code, out, err = run(capsys, "systole", str(cx), "--cocycle", str(xi))
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err

@@ -10,7 +10,8 @@ import systola as sy
 from systola.cochains import coboundary, vertex_coboundary
 from systola.errors import DimensionError, DomainError
 
-from conftest import brute_restriction_is_zero, parity_class_is_nonzero, reference_h1_basis
+from conftest import (brute_class_is_nonzero, brute_restriction_is_zero, parity_class_is_nonzero,
+                      reference_h1_basis)
 
 
 def _random_cochain(X, rng, ring=sy.RING_Z2):
@@ -282,3 +283,34 @@ def test_restriction_agrees_with_cycle_enumeration_on_random_subsets(rp2, torus7
 def test_restriction_accepts_induced_subcomplex(rp2, rp2_class):
     sub = sy.induced(rp2, {1, 2, 3})
     assert sy.restriction_is_zero(rp2_class, sub)
+
+
+@functools.cache
+def _degree_two_cups():
+    cups = {}
+    for s in (3, 4, 5):
+        Q, xi, _ = sy.gen_projective_space(3, s)
+        cups[f"rp3-s{s}"] = sy.cup_power([xi, xi], Q)
+    a, b = sy.h1_basis(sy.gen_named("torus-seven"))
+    for name, pair in {"aa": [a, a], "ab": [a, b], "ba": [b, a], "bb": [b, b]}.items():
+        cups[f"torus-{name}"] = sy.cup_power(pair)
+    return cups
+
+
+@pytest.mark.parametrize("key,nonzero", [("rp3-s3", True), ("rp3-s4", True), ("rp3-s5", True),
+                                         ("torus-aa", False), ("torus-ab", True),
+                                         ("torus-ba", True), ("torus-bb", False)])
+def test_class_is_nonzero_matches_plain_elimination(key, nonzero):
+    # xi^2 on RP^3 is below top degree, where columns of weight 3 or more
+    # survive the peel and reach elimination
+    c = _degree_two_cups()[key]
+    X, k = c.complex, c.degree
+    assert sy.class_is_nonzero(c) == brute_class_is_nonzero(c) == nonzero
+    rng = random.Random(key)
+    ridges = sorted(X.faces(k - 1))
+    for _ in range(3):
+        dg = coboundary(sy.CochainK(X, k - 1, [t for t in ridges if rng.randrange(2)]))
+        assert not dg.is_zero()
+        assert sy.class_is_nonzero(dg) is brute_class_is_nonzero(dg) is False
+        shifted = sy.CochainK(X, k, c.support ^ dg.support)
+        assert sy.class_is_nonzero(shifted) == brute_class_is_nonzero(shifted) == nonzero

@@ -17,10 +17,10 @@ def test_echelon_rank():
 
 
 def test_in_span():
-    rows = [0b0011, 0b0110]
-    assert gf2.in_span(rows, 0b0101)
-    assert not gf2.in_span(rows, 0b1000)
-    assert gf2.in_span(rows, 0)
+    rows = [gf2._bits(v) for v in (0b0011, 0b0110)]
+    assert gf2.in_span(rows, gf2._bits(0b0101))
+    assert not gf2.in_span(rows, gf2._bits(0b1000))
+    assert gf2.in_span(rows, gf2._bits(0))
 
 
 def test_rref_pivots_unique():
@@ -95,7 +95,8 @@ def _span_queries(draw):
 @given(_span_queries())
 def test_in_span_matches_plain_elimination(query):
     vectors, target = query
-    assert gf2.in_span(vectors, target) == brute_in_span(vectors, target)
+    supports = [gf2._bits(v) for v in vectors]
+    assert gf2.in_span(supports, gf2._bits(target)) == brute_in_span(vectors, target)
 
 
 @settings(max_examples=250, deadline=None, derandomize=True)

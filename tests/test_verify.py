@@ -43,6 +43,15 @@ def test_grid_range_validation():
         sy.verify_grid(5, 3)
     with pytest.raises(ParameterError):
         sy.verify_grid(2, 9)
+    for kwargs in ({"n_max": True, "s_max": 3}, {"n_max": 2.0, "s_max": 3},
+                   {"n_max": 1, "s_max": 3.0}, {"n_max": 1, "s_max": "3"},
+                   {"n_max": 1, "s_max": 3, "seed": "abc"}, {"n_max": 1, "s_max": 3, "seed": -1},
+                   {"n_max": 1, "s_max": 3, "cup_max_dim": "x"}):
+        with pytest.raises(ParameterError):
+            sy.verify_grid(**kwargs)
+    for cup_max_dim in ("x", 1.0, -1):
+        with pytest.raises(ParameterError):
+            sy.measure_cell(1, 3, cup_max_dim=cup_max_dim)
 
 
 def test_report_rows_ordered_and_serializable():
