@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -119,16 +118,18 @@ def _cmd_systole(args) -> int:
 
 
 def _cmd_radius(args) -> int:
+    ring, fiber = _parse_fiber(args.fiber)
     X = read_complex(args.complex)
     if not args.cocycle:
         raise _UsageError("at least one --cocycle file is required")
     if args.which == "homotopy":
         if len(args.cocycle) != 1:
             raise _UsageError("homotopy radius takes exactly one --cocycle")
-        ring, fiber = _parse_fiber(args.fiber)
         xi = read_cochain(args.cocycle[0], X, ring)
         value = homotopy_triviality_radius(build_cover(X, xi, fiber))
     else:
+        if fiber != 2:
+            raise _UsageError(f"the homology radius is over Z2; bad fiber {args.fiber!r}")
         classes = [read_cochain(p, X, RING_Z2) for p in args.cocycle]
         value = homology_triviality_radius(X, classes)
     _emit(args, _fmt(value), {"radius": _fmt(value), "kind": args.which})
@@ -217,15 +218,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
-    threads = args.threads
-    if threads is None:
-        text = os.environ.get("SYSTOLA_THREADS", "1")
-        if not text.strip().isdecimal():
-            raise _UsageError(f"SYSTOLA_THREADS must be a positive integer, not {text!r}")
-        threads = int(text)
-    if threads < 1:
-        raise _UsageError(f"the thread count must be at least 1, not {threads}")
-    report = verify_grid(args.n_max, args.s_max, seed=args.seed, threads=threads)
+    report = verify_grid(args.n_max, args.s_max, seed=args.seed)
     if args.csv:
         Path(args.csv).write_text(report.to_csv_text())
     if args.json:
@@ -343,8 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     va.add_argument("--s-max", type=int, default=8)
     va.add_argument("--csv", help="also write the report CSV here")
     va.add_argument("--seed", type=int, default=0)
-    va.add_argument("--threads", type=int, default=None,
-                    help="worker threads (default: SYSTOLA_THREADS or 1)")
     _add_json(va)
     va.set_defaults(func=_cmd_verify_all)
 

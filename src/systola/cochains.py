@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from . import gf2
 from .complexes import InducedSubcomplex, SimplicialComplex, induced
-from .errors import DimensionError, DomainError, ParameterError
+from .errors import DimensionError, DomainError, ParameterError, require_int
 
 RING_Z2 = "Z2"
 RING_Z = "Z"
@@ -34,7 +34,10 @@ class Cochain1:
             e = tuple(sorted(e))
             if e not in edge_set:
                 raise DomainError(f"{e!r} is not an edge of the complex")
-            v = int(v) % 2 if ring == RING_Z2 else int(v)
+            if type(v) is not int:  # refuses bools, floats and strings; keeps numpy ints
+                v = require_int(v, f"the value on {e!r}")
+            if ring == RING_Z2:
+                v %= 2
             if v:
                 vals[e] = v
         self.complex = complex

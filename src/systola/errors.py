@@ -39,8 +39,8 @@ class ParameterError(SystolaError, ValueError):
     """An argument falls outside the documented parameter range."""
 
 
-def require_int(value, name: str, minimum: int) -> int:
-    """``value`` as an int no smaller than ``minimum``.
+def require_int(value, name: str, minimum: int | None = None) -> int:
+    """``value`` as an int, no smaller than ``minimum`` when one is given.
 
     Integer types such as numpy's are accepted through ``operator.index``;
     bools, floats and strings are refused, never coerced.
@@ -49,6 +49,7 @@ def require_int(value, name: str, minimum: int) -> int:
         as_int = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
         as_int = None
-    if as_int is None or as_int < minimum:
-        raise ParameterError(f"{name} must be an integer at least {minimum}, got {value!r}")
+    if as_int is None or (minimum is not None and as_int < minimum):
+        least = "" if minimum is None else f" at least {minimum}"
+        raise ParameterError(f"{name} must be an integer{least}, got {value!r}")
     return as_int

@@ -53,10 +53,6 @@ class Echelon:
             self.rows[vec & -vec] = vec
         return vec
 
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
 
 def _bits(vec: int) -> list[int]:
     """Indices of the set bits of vec, ascending."""
@@ -81,11 +77,6 @@ def _vector(support) -> int:
     for i in support:
         x |= 1 << i
     return x
-
-
-def rank(vectors) -> int:
-    ech = Echelon()
-    return sum(1 for v in vectors if ech.insert(v))
 
 
 class Contraction:

@@ -144,14 +144,6 @@ def test_verify_all_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_verify_all_threaded_matches_serial(tmp_path, capsys):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    run(capsys, "verify-all", "--n-max", "2", "--s-max", "4", "--csv", str(a))
-    run(capsys, "verify-all", "--n-max", "2", "--s-max", "4", "--threads", "3",
-        "--csv", str(b))
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_verify_all_reports_known_bound_gap(capsys):
     # the n=1, s=4 cell trips the essential-bound check: the 4-cycle has 4
     # vertices, one below the displayed closed form (see C3 in
@@ -191,6 +183,16 @@ def test_usage_and_error_exit_codes(tmp_path, capsys):
         code, _, err = run(capsys, "systole", str(out),
                            "--cocycle", str(out) + ".cocycle", "--fiber", fiber)
         assert code == 1 and "fiber" in err
+    # the homology radius is over Z2 only, so any other fiber is refused
+    run(capsys, "gen", "polygon", "--m", "8", "-o", str(tmp_path / "c8.cx"))
+    for fiber in ("q9", "z5"):
+        code, out_text, err = run(capsys, "radius", "homology", str(tmp_path / "c8.cx"),
+                                  "--cocycle", str(tmp_path / "c8.cx.cocycle"),
+                                  "--fiber", fiber)
+        assert code == 1 and out_text == "" and "fiber" in err
+    code, out_text, err = run(capsys, "verify-all", "--n-max", "1", "--s-max", "3",
+                              "--threads", "2")
+    assert code == 1 and out_text == "" and err.startswith("usage error: ")
     code, _, err = run(capsys, "systole", str(tmp_path), "--cocycle", str(out) + ".cocycle")
     assert code == 1 and err.startswith("error: ")
 
@@ -199,15 +201,6 @@ def test_gen_refuses_an_oversized_quotient(tmp_path, capsys):
     out = tmp_path / "big.cx"
     code, _, err = run(capsys, "gen", "rp", "--dim", "9", "--systole", "3", "-o", str(out))
     assert code == 1 and "facets" in err and not out.exists()
-
-
-def test_env_threads_fallback(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SYSTOLA_THREADS", "2")
-    csv_path = tmp_path / "env.csv"
-    code, _, _ = run(capsys, "verify-all", "--n-max", "1", "--s-max", "3",
-                     "--csv", str(csv_path))
-    assert code == 0
-    assert csv_path.exists()
 
 
 @pytest.mark.parametrize("complex_text, cochain_text", [
@@ -232,23 +225,6 @@ def test_malformed_inputs_exit_1(tmp_path, capsys, complex_text, cochain_text):
     code, out, err = run(capsys, "systole", str(cx), "--cocycle", str(xi))
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
-
-
-@pytest.mark.parametrize("argv, env", [
-    (("--threads", "-3"), None),
-    (("--threads", "0"), None),
-    ((), "0"),
-    ((), "-2"),
-    ((), "two"),
-    ((), "1.5"),
-    ((), ""),
-])
-def test_verify_all_rejects_bad_thread_counts(capsys, monkeypatch, argv, env):
-    if env is not None:
-        monkeypatch.setenv("SYSTOLA_THREADS", env)
-    code, out, err = run(capsys, "verify-all", "--n-max", "1", "--s-max", "3", *argv)
-    assert code == 1 and out == ""
-    assert err.startswith("usage error: ") and "thread" in err.lower()
 
 
 def test_python_m_systola_runs_the_cli():

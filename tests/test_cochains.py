@@ -2,13 +2,14 @@ import functools
 import hashlib
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import systola as sy
 from systola.cochains import coboundary, vertex_coboundary
-from systola.errors import DimensionError, DomainError
+from systola.errors import DimensionError, DomainError, ParameterError
 
 from conftest import (brute_class_is_nonzero, brute_restriction_is_zero, parity_class_is_nonzero,
                       reference_h1_basis)
@@ -38,6 +39,19 @@ def test_value_on_non_edge_rejected():
     X = sy.build_complex([[1, 2], [2, 3]])
     with pytest.raises(DomainError):
         sy.Cochain1(X, {(1, 3): 1})
+
+
+@pytest.mark.parametrize("ring", [sy.RING_Z2, sy.RING_Z])
+def test_cochain_values_must_be_integers(ring):
+    X = sy.build_complex([[1, 2], [2, 3], [1, 3]])
+    for bad in (1.7, 2.5, "1", True, False, None):
+        with pytest.raises(ParameterError):
+            sy.Cochain1(X, {(1, 2): bad}, ring)
+    want = 1 if ring == sy.RING_Z2 else 3
+    assert sy.Cochain1(X, {(1, 2): np.int64(3)}, ring).value(1, 2) == want
+    c = sy.Cochain1(X, {(1, 2): -3, (2, 3): 2}, ring)
+    assert c.values == ({(1, 2): 1} if ring == sy.RING_Z2 else {(1, 2): -3, (2, 3): 2})
+    assert all(type(v) is int for v in c.values.values())
 
 
 def test_integer_cocycle_orientation():

@@ -10,12 +10,6 @@ from conftest import brute_in_span, brute_kernel_basis, brute_rref
 BITS = 12
 
 
-def test_echelon_rank():
-    assert gf2.rank([0b001, 0b010, 0b011]) == 2
-    assert gf2.rank([0b111, 0b110, 0b001]) == 2
-    assert gf2.rank([]) == 0
-
-
 def test_in_span():
     rows = [gf2._bits(v) for v in (0b0011, 0b0110)]
     assert gf2.in_span(rows, gf2._bits(0b0101))
@@ -38,7 +32,7 @@ def test_kernel_basis_orthogonal_to_constraints():
     n = 12
     constraints = [rng.getrandbits(n) for _ in range(6)]
     kernel = gf2.kernel_basis(constraints, n)
-    assert len(kernel) == n - gf2.rank(constraints)
+    assert len(kernel) == n - len(brute_rref(constraints))
     for vec in kernel:
         for c in constraints:
             assert bin(vec & c).count("1") % 2 == 0

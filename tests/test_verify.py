@@ -1,10 +1,13 @@
 import math
+from pathlib import Path
 
 import pytest
 
 import systola as sy
 from systola.errors import ParameterError
 from systola.verify import CSV_COLUMNS
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_measure_cell_smallest():
@@ -46,7 +49,9 @@ def test_grid_range_validation():
     for kwargs in ({"n_max": True, "s_max": 3}, {"n_max": 2.0, "s_max": 3},
                    {"n_max": 1, "s_max": 3.0}, {"n_max": 1, "s_max": "3"},
                    {"n_max": 1, "s_max": 3, "seed": "abc"}, {"n_max": 1, "s_max": 3, "seed": -1},
-                   {"n_max": 1, "s_max": 3, "cup_max_dim": "x"}):
+                   {"n_max": 1, "s_max": 3, "cup_max_dim": "x"},
+                   {"n_max": 1, "s_max": 3, "threads": 2},
+                   {"n_max": 1, "s_max": 3, "threads": True}):
         with pytest.raises(ParameterError):
             sy.verify_grid(**kwargs)
     for cup_max_dim in ("x", 1.0, -1):
@@ -55,7 +60,7 @@ def test_grid_range_validation():
 
 
 def test_report_rows_ordered_and_serializable():
-    report = sy.verify_grid(2, 4, seed=7, threads=2)
+    report = sy.verify_grid(2, 4, seed=7)
     assert [(r.n, r.s) for r in report.rows] == [(1, 3), (1, 4), (2, 3), (2, 4)]
     csv_text = report.to_csv_text()
     lines = csv_text.splitlines()
@@ -73,3 +78,8 @@ def test_infinite_values_serialize_as_inf():
     assert _csv_cell(math.inf) == "inf"
     assert _json_cell(math.inf) == "inf"
     assert _csv_cell(True) == "1" and _csv_cell(False) == "0" and _csv_cell(None) == ""
+
+
+def test_grid_json_matches_golden(grid_report):
+    report, _ = grid_report
+    assert report.to_json_text() == (GOLDEN / "verify_n4_s8.json").read_text()
