@@ -6,12 +6,19 @@ lift consistently, so the total space is again a simplicial complex with
 vertices ``(v, sheet)``, built on first read.
 
 BFS utilities (:func:`edge_distance`, :func:`ball`, :func:`sphere`) are
-plain Python.  The systole is one compiled BFS (scipy's ``dijkstra``) in
-the 1-skeleton of the total space, from the sheet-0 lift of every base
-vertex: a closed base walk at x with holonomy g lifts to a path of the
-same length from (x, 0) to (x, g), and every such path projects to one,
-so the systole L is the least such distance.  The homotopy triviality
-radius is floor(L/2) - 1 (inf when L is):
+plain Python.  A closed base walk at x with holonomy g lifts to a path of
+the same length from (x, 0) to (x, g), and every such path projects to
+one, so the systole L is the least distance in the 1-skeleton of the
+total space from (x, 0) to (x, g), over base vertices x and g != 0.  The
+scan finds it by a bit-parallel BFS (Then et al., "The More the Merrier:
+Efficient Multi-Source Graph Traversal", VLDB 2014): the sources (x, 0)
+go 64 at a time, one bit of a uint64 word each, and one BFS level ORs
+the frontier words over every vertex's neighbours.  A word column stops
+at the first level at which some source x reaches one of its own (x, g),
+when its frontier empties, or at the least L found by an earlier column.
+One single-source ``dijkstra`` from the centre, limited to length L,
+then confirms independently that L is attained there and not beaten.
+The homotopy triviality radius is floor(L/2) - 1 (inf when L is):
 
 * A shortest nontrivial loop through x lies in B(x, floor(L/2)), so that
   ball is essential.
@@ -43,9 +50,6 @@ from .complexes import SimplicialComplex, _bfs
 from .errors import CocycleError, ParameterError, UnknownVertexError, require_int
 
 INFINITY = math.inf
-
-# cells per (source, total vertex) distance array in one chunk of the scan
-_SCAN_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -102,10 +106,11 @@ class Cover:
     # -- compiled-graph plumbing ----------------------------------------
 
     def _total_graph(self):
-        """The total space's 1-skeleton as a cached CSR matrix.
+        """The total space's 1-skeleton as a cached symmetric CSR matrix.
 
         ``(v, sheet)`` is row ``v·F + sheet``, with v the base vertex index;
-        each edge is stored once, so scipy reads it with ``directed=False``.
+        each edge is stored in both directions, so a row lists all of its
+        vertex's neighbours.
         """
         if self._graph is None:
             F = self.fiber
@@ -117,7 +122,8 @@ class Cover:
             cols = (edges[:, 1:2] * F + (sheets + edges[:, 2:]) % F).ravel()
             n = self.base.num_vertices * F
             self._graph = sparse.csr_matrix(
-                (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
+                (np.ones(2 * len(rows), dtype=np.int8),
+                 (np.concatenate([rows, cols]), np.concatenate([cols, rows]))), shape=(n, n))
         return self._graph
 
 
@@ -191,43 +197,64 @@ def ball_profile(X: SimplicialComplex, x, r_max: int | None = None) -> BallProfi
 # -- systole and triviality radii ----------------------------------------
 
 def _holonomy_scan(C: Cover):
-    """(systole, radius, centre) by the total-space BFS of the module docstring.
+    """(systole, radius, centre) by the bitset BFS of the module docstring.
 
-    ``centre`` is the index of the first base vertex attaining the systole,
-    or None for a trivial cover.  Sources go in chunks of ``_SCAN_CELLS //
-    (V·F)`` so each chunk's distance array stays small.
+    ``centre`` is the index of the lowest base vertex attaining the systole,
+    or None for a trivial cover.
     """
     if C._scan is not None:
         return C._scan
     graph = C._total_graph()
     F = C.fiber
     nv = C.base.num_vertices
+    rows = np.flatnonzero(np.diff(graph.indptr))
+    starts = graph.indptr[rows]
     systole, centre = INFINITY, None
-    chunk = max(1, _SCAN_CELLS // max(nv * F, 1))
-    for start in range(0, nv, chunk):
-        sources = np.arange(start, min(start + chunk, nv))
-        dist = dijkstra(graph, directed=False, unweighted=True, indices=sources * F)
-        # dist((x, 0), (x, g)) for g != 0, least over g
-        rows = np.arange(len(sources))
-        loop = dist.reshape(len(sources), nv, F)[rows, sources, 1:].min(axis=1)
-        i = int(loop.argmin())
-        if loop[i] < systole:
-            systole, centre = int(loop[i]), int(sources[i])
+    for lo in range(0, nv, 64):
+        sources = np.arange(lo, min(lo + 64, nv))
+        bits = np.uint64(1) << np.arange(len(sources), dtype=np.uint64)
+        front = np.zeros(nv * F, dtype=np.uint64)
+        front[sources * F] = bits
+        seen = front.copy()
+        level = 1
+        while level < systole and front.any():
+            reached = np.zeros_like(front)
+            reached[rows] = np.bitwise_or.reduceat(front[graph.indices], starts)
+            reached &= ~seen
+            seen |= reached
+            # bit x at (x, g != 0): a nontrivial loop of this length at x
+            hit = (reached.reshape(nv, F)[sources, 1:] & bits[:, None]).any(axis=1)
+            if hit.any():
+                systole, centre = level, int(sources[hit.argmax()])
+                break
+            front = reached
+            level += 1
+    if centre is not None:
+        _confirm_systole(C, centre, systole)
     radius = INFINITY if centre is None else systole // 2 - 1
     C._scan = (systole, radius, centre)
     return C._scan
+
+
+def _confirm_systole(C: Cover, centre: int, systole: int):
+    """Raise unless the least distance from (centre, 0) to (centre, g != 0)
+    is ``systole``, by one scipy ``dijkstra`` limited to that length."""
+    F = C.fiber
+    dist = dijkstra(C._total_graph(), unweighted=True, indices=[centre * F], limit=systole)
+    if dist[0, centre * F + 1:(centre + 1) * F].min() != systole:
+        raise ParameterError("internal error: unsound systole witness")
 
 
 def cover_systole(C: Cover):
     """Shortest loop in the base with a nontrivial deck holonomy.
 
     Computed as the minimum, over base vertices v and nonzero fiber shifts
-    g, of the total-space distance between (v, 0) and (v, g), by one BFS
-    from every (v, 0).  When the cover
-    is the universal cover of the base (as the generated quotients'
-    double covers are for n >= 2) this is the edge-path systole of the
-    base; in general it is only an upper bound for it.  A trivial cover
-    yields inf.
+    g, of the total-space distance between (v, 0) and (v, g), by the
+    bit-parallel BFS from every (v, 0), 64 sources to a word, and confirmed
+    at the centre by one single-source BFS.  When the cover is the
+    universal cover of the base (as the generated quotients' double covers
+    are for n >= 2) this is the edge-path systole of the base; in general
+    it is only an upper bound for it.  A trivial cover yields inf.
     """
     return _holonomy_scan(C)[0]
 
@@ -275,9 +302,12 @@ def homotopy_triviality_radius(C: Cover):
 
     This is floor(L/2) - 1 for the cover systole L (see the module
     docstring), and inf for a trivial cover.  Single-vertex balls span no
-    edges, so the radius is never below 0.  Before returning, the ball
-    B(x, r + 1) around a centre x attaining L, taken from the plain BFS of
-    the base, is confirmed to mix sheets.
+    edges, so the radius is never below 0.  Two facts are checked
+    independently of the scan: at the centre x the least nontrivial loop
+    has length exactly L (one limited ``dijkstra``), and the ball
+    B(x, r + 1), taken from the plain BFS of the base, mixes sheets.  That
+    no other centre has a shorter loop is not checked at run time; it rests
+    on the scan and on the property test against a brute-force oracle.
     """
     _, radius, centre = _holonomy_scan(C)
     if centre is not None:

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import systola as sy
 from systola.cochains import vertex_coboundary
-from systola.covers import _mask_mixes_fibers
+from systola.complexes import _bfs
+from systola.covers import _confirm_systole, _holonomy_scan, _mask_mixes_fibers
 from systola.errors import CocycleError, ParameterError, UnknownVertexError
 
 from conftest import brute_cover_trivial_over, brute_homotopy_radius, \
@@ -220,6 +221,18 @@ def test_unsound_radius_witness_is_caught(rp2, rp2_class):
             sy.homotopy_triviality_radius(cov)
 
 
+def test_unsound_systole_witness_is_caught(rp2, rp2_class):
+    # The confirmation accepts exactly the least nontrivial loop length at
+    # the centre: one shorter is beyond its limit, one longer is beaten.
+    X = _cycle(8)
+    for cov in (sy.build_cover(rp2, rp2_class, 2), sy.build_cover(X, _cycle_class(X), 2)):
+        systole, _, centre = _holonomy_scan(cov)
+        _confirm_systole(cov, centre, systole)
+        for wrong in (systole - 1, systole + 1):
+            with pytest.raises(ParameterError, match="unsound systole witness"):
+                _confirm_systole(cov, centre, wrong)
+
+
 def test_homotopy_radius_agrees_with_brute_force(quotient23):
     Q, xi, _ = quotient23
     for m in (3, 5, 6):
@@ -285,6 +298,76 @@ def test_systole_and_radius_agree_with_total_space_and_brute_force(case):
     assert sy.cover_systole(cov) == min(
         sy.edge_distance(T, (v, 0), (v, g)) for v in X.vertices for g in range(1, fiber))
     assert sy.homotopy_triviality_radius(cov) == brute_homotopy_radius(cov)
+
+
+def _loop_oracle(cov):
+    """min edge_distance(T, (v, 0), (v, g)) over v and g != 0, one BFS per v."""
+    T = cov.total_complex
+    dist = {v: _bfs(T, (v, 0)) for v in cov.base.vertices}
+    return min(dist[v].get((v, g), sy.INFINITY)
+               for v in cov.base.vertices for g in range(1, cov.fiber))
+
+
+@st.composite
+def _wide_graph_cochains(draw):
+    """A random graph on 65 to 150 vertices, so the scan spans two or three
+    word columns, with isolated vertices and a Z2, Z3 or Z5 cochain."""
+    n = draw(st.integers(65, 150))
+    fiber = draw(st.sampled_from((2, 3, 5)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    edges = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randrange(n // 2, 2 * n))}
+    used = {v for e in edges for v in e}
+    X = sy.build_complex([list(e) for e in edges] + [[v] for v in range(n) if v not in used])
+    vals = {e: rng.randrange(fiber) for e in sorted(X.faces(1))}
+    return X, sy.Cochain1(X, vals, sy.RING_Z2 if fiber == 2 else sy.RING_Z), fiber
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_wide_graph_cochains())
+def test_systole_over_several_word_columns_agrees_with_total_space(case):
+    X, xi, fiber = case
+    cov = sy.build_cover(X, xi, fiber)
+    L = _loop_oracle(cov)
+    assert sy.cover_systole(cov) == L
+    assert sy.homotopy_triviality_radius(cov) == (sy.INFINITY if L == sy.INFINITY else L // 2 - 1)
+
+
+def _nontrivial_cycle(vertices):
+    edges = [tuple(sorted(e)) for e in zip(vertices, vertices[1:] + vertices[:1])]
+    return edges, {edges[0]: 1}
+
+
+@pytest.mark.parametrize("fiber", [2, 3])
+def test_scan_centre_across_word_columns(fiber):
+    ring = sy.RING_Z2 if fiber == 2 else sy.RING_Z
+    path = [(i, i + 1) for i in range(69)]
+
+    def scan(*cycles):
+        edges, vals = list(path), {}
+        for c in cycles:
+            e, v = _nontrivial_cycle(c)
+            edges += e
+            vals.update(v)
+        X = sy.build_complex([list(e) for e in set(edges)])
+        cov = sy.build_cover(X, sy.Cochain1(X, vals, ring), fiber)
+        systole, radius, centre = _holonomy_scan(cov)
+        assert systole == _loop_oracle(cov)
+        return systole, radius, X.vertices[centre]
+
+    # the shortest loop lives in the second word column only; the first
+    # column's 9-loop at vertex 0 is beaten
+    assert scan(list(range(9)), list(range(70, 75))) == (5, 1, 70)
+    # equal loops in two columns: the lowest centre wins
+    assert scan(list(range(10, 15)), list(range(100, 105))) == (5, 1, 10)
+    # equal loops within one column: the first hit wins
+    assert scan(list(range(20, 25)), list(range(3, 8))) == (5, 1, 3)
+
+
+def test_edgeless_complex_has_no_loop():
+    X = sy.build_complex([[v] for v in range(130)])
+    cov = sy.build_cover(X, sy.Cochain1(X, {}), 2)
+    assert sy.cover_systole(cov) == sy.INFINITY
+    assert sy.homotopy_triviality_radius(cov) == sy.INFINITY
 
 
 @st.composite
