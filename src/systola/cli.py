@@ -42,7 +42,7 @@ def _fmt(value) -> str:
 
 
 def _emit(args, plain, payload):
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
         print(plain)
@@ -50,8 +50,6 @@ def _emit(args, plain, payload):
 
 def _parse_fiber(text: str):
     text = text.lower()
-    if text == "z2":
-        return RING_Z2, 2
     digits = text[1:]
     if text.startswith("z") and digits.isascii() and digits.isdigit() and int(digits) >= 2:
         n = int(digits)
@@ -72,32 +70,23 @@ def _fraction_list(text: str) -> list[Fraction]:
 
 # -- subcommand handlers ---------------------------------------------------
 
+# gen shapes written together with their H^1 basis
+_H1_SHAPES = {"rp2-six": lambda args: gen_named("rp2-six"),
+              "torus7": lambda args: gen_named("torus-seven"),
+              "polygon": lambda args: gen_polygon(args.m)}
+
+
 def _cmd_gen(args) -> int:
     out = Path(args.output)
-    classes = []
     if args.shape == "rp":
         Q, xi, sphere = gen_projective_space(args.dim, args.systole)
-        if args.sphere:
-            write_complex(sphere.complex, out)
-        else:
-            write_complex(Q, out)
-            classes = [xi]
-    elif args.shape == "rp2-six":
-        X = gen_named("rp2-six")
-        write_complex(X, out)
-        classes = h1_basis(X)
-    elif args.shape == "torus7":
-        X = gen_named("torus-seven")
-        write_complex(X, out)
-        classes = h1_basis(X)
-    elif args.shape == "polygon":
-        X = gen_polygon(args.m)
-        write_complex(X, out)
-        classes = h1_basis(X)
+        X, classes = (sphere.complex, []) if args.sphere else (Q, [xi])
     elif args.shape == "complete":
-        write_complex(gen_complete_graph(args.k), out)
+        X, classes = gen_complete_graph(args.k), []
     else:
-        raise _UsageError(f"unknown generator {args.shape!r}")
+        X = _H1_SHAPES[args.shape](args)
+        classes = h1_basis(X)
+    write_complex(X, out)
     suffix = [".cocycle"] + [f".cocycle{i}" for i in range(2, len(classes) + 1)]
     for c, sfx in zip(classes, suffix):
         write_cochain(c, str(out) + sfx)
@@ -171,50 +160,60 @@ def _cmd_subdivide(args) -> int:
     return 0
 
 
-def _cmd_bounds(args) -> int:
-    kind = args.table
-    if kind == "b":
-        table = bounds_mod.essential_ball_bounds(args.n, args.i, args.r)
-        value = table.value(args.n, args.i)
-        payload = {"kind": "b", "n": args.n, "i": args.i, "r": args.r, "value": value}
-    elif kind == "breve":
-        table = bounds_mod.cup_ball_bounds(args.n, args.i)
-        value = table.value(args.n, args.i)
-        payload = {"kind": "breve", "n": args.n, "i": args.i, "value": value}
-    elif kind == "thm12":
-        chain = bounds_mod.essential_vertex_bound_chain(args.n, args.sys)
-        value = chain[0]
-        payload = {"kind": "thm12", "n": args.n, "sys": args.sys,
-                   "value": _fmt(value), "chain": [_fmt(chain[0]), _fmt(chain[1]),
-                                                   str(chain[2])]}
-    elif kind == "thm16":
-        value = bounds_mod.cup_vertex_lower_bound(args.n, args.sys)
-        payload = {"kind": "thm16", "n": args.n, "sys": args.sys, "value": _fmt(value)}
-    elif kind == "fvec":
-        fb = bounds_mod.fvector_lower_bounds(args.n, args.s)
-        value = f"f0>={fb.f0} f{args.n - 1}>={fb.f_codim1}"
-        payload = {"kind": "fvec", "n": args.n, "s": args.s, "f0": fb.f0,
-                   "fk": {str(k): v for k, v in fb.fk.items()},
-                   "f_codim1": fb.f_codim1}
-    elif kind == "vn":
-        out = bounds_mod.ball_volume_lower_bound(_fraction(args.r), _fraction_list(args.L))
-        _emit(args, str(out), {"kind": "vn", "value": str(out)})
-        return 0
-    elif kind == "lemma41":
-        grid = _fraction_list(args.grid) if args.grid else ()
-        ok = bounds_mod.volume_recursion_check(_fraction_list(args.L), grid)
-        _emit(args, "ok" if ok else "violated", {"kind": "lemma41", "ok": ok})
-        return 0 if ok else 2
-    else:
-        raise _UsageError(f"unknown bounds table {kind!r}")
-    if getattr(args, "csv", None) and kind in ("b", "breve"):
+# Each ``bounds`` table has one evaluator returning (plain text, JSON payload).
+
+def _ball_table(args, table, **params):
+    if args.csv:
         lines = ["n,i,value"]
         for n_row in range(table.min_n, table.min_n + len(table.rows)):
             for i, v in enumerate(table.row(n_row)):
                 lines.append(f"{n_row},{i},{v}")
         Path(args.csv).write_text("\n".join(lines) + "\n")
-    _emit(args, _fmt(value), payload)
-    return 0
+    value = table.value(args.n, args.i)
+    return _fmt(value), {"n": args.n, "i": args.i, **params, "value": value}
+
+
+def _bound_b(args):
+    return _ball_table(args, bounds_mod.essential_ball_bounds(args.n, args.i, args.r),
+                       r=args.r)
+
+
+def _bound_breve(args):
+    return _ball_table(args, bounds_mod.cup_ball_bounds(args.n, args.i))
+
+
+def _bound_thm12(args):
+    chain = [_fmt(v) for v in bounds_mod.essential_vertex_bound_chain(args.n, args.sys)]
+    return chain[0], {"n": args.n, "sys": args.sys, "value": chain[0], "chain": chain}
+
+
+def _bound_thm16(args):
+    value = _fmt(bounds_mod.cup_vertex_lower_bound(args.n, args.sys))
+    return value, {"n": args.n, "sys": args.sys, "value": value}
+
+
+def _bound_fvec(args):
+    fb = bounds_mod.fvector_lower_bounds(args.n, args.s)
+    return (f"f0>={fb.f0} f{args.n - 1}>={fb.f_codim1}",
+            {"n": args.n, "s": args.s, "f0": fb.f0, "f_codim1": fb.f_codim1,
+             "fk": {str(k): v for k, v in fb.fk.items()}})
+
+
+def _bound_vn(args):
+    value = str(bounds_mod.ball_volume_lower_bound(_fraction(args.r), _fraction_list(args.L)))
+    return value, {"value": value}
+
+
+def _bound_lemma41(args):
+    grid = _fraction_list(args.grid) if args.grid else ()
+    ok = bounds_mod.volume_recursion_check(_fraction_list(args.L), grid)
+    return "ok" if ok else "violated", {"ok": ok}
+
+
+def _cmd_bounds(args) -> int:
+    plain, payload = args.evaluate(args)
+    _emit(args, plain, {"kind": args.table, **payload})
+    return 0 if payload.get("ok", True) else 2
 
 
 def _cmd_verify_all(args) -> int:
@@ -232,58 +231,51 @@ def _cmd_verify_all(args) -> int:
 
 # -- parser ----------------------------------------------------------------
 
-def _add_json(p):
-    p.add_argument("--json", action="store_true", help="emit structured JSON")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="systola",
                      description="Edge-path systoles, Z2 cup products and "
                                  "covering complexes for simplicial complexes.")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true", help="emit structured JSON")
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a complex (and its cocycles)")
     gsub = g.add_subparsers(dest="shape", required=True)
-    grp = gsub.add_parser("rp", help="projective-space quotient with systole s")
+    grp = gsub.add_parser("rp", parents=[common],
+                          help="projective-space quotient with systole s")
     grp.add_argument("--dim", type=int, required=True)
     grp.add_argument("--systole", type=int, required=True)
     grp.add_argument("--sphere", action="store_true",
                      help="write the double-cover sphere instead of the quotient")
-    gpoly = gsub.add_parser("polygon")
-    gpoly.add_argument("--m", type=int, required=True)
-    gcomp = gsub.add_parser("complete")
-    gcomp.add_argument("--k", type=int, required=True)
-    grp2 = gsub.add_parser("rp2-six")
-    gtor = gsub.add_parser("torus7")
-    for sp in (grp, gpoly, gcomp, grp2, gtor):
+    gsub.add_parser("polygon", parents=[common]).add_argument("--m", type=int, required=True)
+    gsub.add_parser("complete", parents=[common]).add_argument("--k", type=int, required=True)
+    for name in ("rp2-six", "torus7"):
+        gsub.add_parser(name, parents=[common])
+    for sp in gsub.choices.values():
         sp.add_argument("-o", "--output", required=True)
-        _add_json(sp)
         sp.set_defaults(func=_cmd_gen)
 
     for name, key, text in (("systole", "systole", "cover-relative systole from a cocycle"),
                             ("lnorm", "loop_norm", "shortest loop with nontrivial evaluation")):
-        s = sub.add_parser(name, help=text)
+        s = sub.add_parser(name, parents=[common], help=text)
         s.add_argument("complex")
         s.add_argument("--cocycle", required=True)
         s.add_argument("--fiber", default="z2", help="z2 (double) or zN (cyclic)")
-        _add_json(s)
         s.set_defaults(func=_cmd_systole, key=key)
 
-    r = sub.add_parser("radius", help="triviality radii")
+    r = sub.add_parser("radius", parents=[common], help="triviality radii")
     r.add_argument("which", choices=("homotopy", "homology"))
     r.add_argument("complex")
     r.add_argument("--cocycle", action="append", default=[])
     r.add_argument("--fiber", default="z2")
-    _add_json(r)
     r.set_defaults(func=_cmd_radius)
 
-    c = sub.add_parser("cup", help="is the cup product of the classes nonzero?")
+    c = sub.add_parser("cup", parents=[common], help="is the cup product of the classes nonzero?")
     c.add_argument("complex")
     c.add_argument("--classes", nargs="+", required=True)
-    _add_json(c)
     c.set_defaults(func=_cmd_cup)
 
-    e = sub.add_parser("essential", help="combinatorial n-essentiality")
+    e = sub.add_parser("essential", parents=[common], help="combinatorial n-essentiality")
     e.add_argument("complex")
     e.add_argument("--n", type=int, required=True)
     e.add_argument("--cover", help="cocycle file defining the test cover")
@@ -292,51 +284,39 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--heuristic", action="store_true")
     e.add_argument("--budget", type=int, default=1000, help="heuristic budget, ms")
     e.add_argument("--seed", type=int, default=0)
-    _add_json(e)
     e.set_defaults(func=_cmd_essential)
 
-    sd = sub.add_parser("subdivide", help="barycentric subdivision")
+    sd = sub.add_parser("subdivide", parents=[common], help="barycentric subdivision")
     sd.add_argument("complex")
     sd.add_argument("-o", "--output", required=True)
-    _add_json(sd)
     sd.set_defaults(func=_cmd_subdivide)
 
     b = sub.add_parser("bounds", help="exact bound evaluators")
     bsub = b.add_subparsers(dest="table", required=True)
-    bb = bsub.add_parser("b")
-    bb.add_argument("--n", type=int, required=True)
-    bb.add_argument("--i", type=int, required=True)
-    bb.add_argument("--r", type=int, required=True)
-    bv = bsub.add_parser("breve")
-    bv.add_argument("--n", type=int, required=True)
-    bv.add_argument("--i", type=int, required=True)
-    for nm in ("thm12", "thm16"):
-        tp = bsub.add_parser(nm)
-        tp.add_argument("--n", type=int, required=True)
-        tp.add_argument("--sys", type=int, required=True)
-        _add_json(tp)
-        tp.set_defaults(func=_cmd_bounds)
-    fv = bsub.add_parser("fvec")
-    fv.add_argument("--n", type=int, required=True)
-    fv.add_argument("--s", type=int, required=True)
-    vn = bsub.add_parser("vn")
-    vn.add_argument("--r", required=True)
-    vn.add_argument("--L", required=True, help="comma-separated rationals")
-    lm = bsub.add_parser("lemma41")
-    lm.add_argument("--L", required=True)
-    lm.add_argument("--grid", default="")
-    for tp in (bb, bv, fv, vn, lm):
-        _add_json(tp)
-        tp.set_defaults(func=_cmd_bounds)
-    for tp in (bb, bv):
-        tp.add_argument("--csv", help="dump the whole table as CSV")
+    for name, evaluate, flags in (("b", _bound_b, ("--n", "--i", "--r")),
+                                  ("breve", _bound_breve, ("--n", "--i")),
+                                  ("thm12", _bound_thm12, ("--n", "--sys")),
+                                  ("thm16", _bound_thm16, ("--n", "--sys")),
+                                  ("fvec", _bound_fvec, ("--n", "--s")),
+                                  ("vn", _bound_vn, ()),
+                                  ("lemma41", _bound_lemma41, ())):
+        tp = bsub.add_parser(name, parents=[common])
+        for flag in flags:
+            tp.add_argument(flag, type=int, required=True)
+        tp.set_defaults(func=_cmd_bounds, evaluate=evaluate)
+    for name in ("b", "breve"):
+        bsub.choices[name].add_argument("--csv", help="dump the whole table as CSV")
+    bsub.choices["vn"].add_argument("--r", required=True)
+    bsub.choices["vn"].add_argument("--L", required=True, help="comma-separated rationals")
+    bsub.choices["lemma41"].add_argument("--L", required=True)
+    bsub.choices["lemma41"].add_argument("--grid", default="")
 
-    va = sub.add_parser("verify-all", help="generate and check the whole grid")
+    va = sub.add_parser("verify-all", parents=[common],
+                        help="generate and check the whole grid")
     va.add_argument("--n-max", type=int, default=4)
     va.add_argument("--s-max", type=int, default=8)
     va.add_argument("--csv", help="also write the report CSV here")
     va.add_argument("--seed", type=int, default=0)
-    _add_json(va)
     va.set_defaults(func=_cmd_verify_all)
 
     return parser
@@ -350,10 +330,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except SystolaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SystolaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

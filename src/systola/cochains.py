@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from . import gf2
 from .complexes import InducedSubcomplex, SimplicialComplex, induced
-from .errors import DimensionError, DomainError, ParameterError, require_int
+from .errors import CocycleError, DimensionError, DomainError, ParameterError, require_int
 
 RING_Z2 = "Z2"
 RING_Z = "Z"
@@ -152,17 +152,21 @@ def cup_power(classes, X: SimplicialComplex | None = None) -> CochainK:
 
     On an n-face v_0 < ... < v_n the value is the product of the k-th
     class on the edge (v_{k-1}, v_k).  With a single input class the
-    result is that class, repackaged in degree 1.
+    result is that class, repackaged in degree 1.  A class that is not a
+    cocycle is refused with ``CocycleError``; each distinct class object is
+    checked once, so ``[xi] * n`` costs one check.
     """
     if not classes:
         raise ParameterError("at least one class required")
     X = X if X is not None else classes[0].complex
     n = len(classes)
-    for c in classes:
+    for c in {id(c): c for c in classes}.values():
         if c.complex is not X:
             raise ParameterError("all classes must live on the same complex")
         if c.ring != RING_Z2:
             raise ParameterError("cup products are computed over Z2 only")
+        if not is_cocycle(c):
+            raise CocycleError("cup products are taken of cocycles only")
     if n > X.dim:
         raise DimensionError(f"product of degree {n} exceeds complex dimension {X.dim}")
     support = set()

@@ -47,9 +47,15 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .cochains import RING_Z, RING_Z2, Cochain1, is_cocycle, potential_is_consistent
 from .complexes import SimplicialComplex, _bfs
-from .errors import CocycleError, ParameterError, UnknownVertexError, require_int
+from .errors import CapacityError, CocycleError, ParameterError, UnknownVertexError, \
+    require_int
 
 INFINITY = math.inf
+
+# Vertices plus edges a cover's total graph may have, F·(V + E) for a base
+# with V vertices and E edges.  At the cap a scan adds about 50 MB of peak RSS
+# (8-cycle, fiber 62,500); the grid's largest cover, at (4, 8), is 80,642.
+MAX_TOTAL_GRAPH = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -110,10 +116,16 @@ class Cover:
 
         ``(v, sheet)`` is row ``v·F + sheet``, with v the base vertex index;
         each edge is stored in both directions, so a row lists all of its
-        vertex's neighbours.
+        vertex's neighbours.  Refused with ``CapacityError`` before any
+        array is built when it would be larger than ``MAX_TOTAL_GRAPH``.
         """
         if self._graph is None:
             F = self.fiber
+            size = (self.base.num_vertices + len(self.base.faces(1))) * F
+            if size > MAX_TOTAL_GRAPH:
+                raise CapacityError(
+                    f"the total graph of a {F}-fold cover would have {size:,} vertices "
+                    f"and edges, above the cap of {MAX_TOTAL_GRAPH:,}")
             vidx = self.base.vertex_index()
             edges = np.array([(vidx[u], vidx[v], self.cocycle.value(u, v) % F)
                               for u, v in self.base.faces(1)], dtype=np.int64).reshape(-1, 3)

@@ -128,10 +128,10 @@ def _block_test(X, cover):
 
 
 def _exhaustive(m, n, passes):
-    """The first partition of vertices 0..m-1 into at most n blocks that all
-    ``passes``, in restricted-growth order, as bitmasks (bit i for vertex i);
-    None if there is none."""
-    masks = [0] * min(n, m)
+    """The first partition of vertices 0..m-1 into at most n <= m blocks that
+    all ``passes``, in restricted-growth order, as bitmasks (bit i for vertex
+    i); None if there is none."""
+    masks = [0] * n
 
     def rec(i, used):
         if i == m:
@@ -197,7 +197,8 @@ def combinatorial_essentiality(X: SimplicialComplex, n: int,
     ask one mask -> verdict dict, so every distinct block is tested once and
     ``block_tests`` is the size of that dict; the final witness re-check
     calls the block test afresh.  ``n`` and ``budget_ms`` must be integers
-    (bools refused).
+    (bools refused); ``n`` above the vertex count is taken as the vertex
+    count, since no partition has more nonempty blocks.
     """
     n = require_int(n, "n", 1)
     budget_ms = require_int(budget_ms, "budget_ms", 1)
@@ -205,6 +206,8 @@ def combinatorial_essentiality(X: SimplicialComplex, n: int,
         raise ParameterError("cover does not cover this complex")
     test = _block_test(X, cover)
     vertices = X.vertices
+    m = len(vertices)
+    n = min(n, m)
 
     def members(mask):
         return frozenset([vertices[i] for i in _bits(mask)])
@@ -220,7 +223,6 @@ def combinatorial_essentiality(X: SimplicialComplex, n: int,
     verdicts = Verdicts()
     passes = verdicts.__getitem__
 
-    m = len(vertices)
     if mode == "exhaustive":
         if m > MAX_EXHAUSTIVE_VERTICES:
             raise CapacityError(

@@ -5,7 +5,7 @@ rebuild the double cover from the classifying cocycle, then measure and
 check everything the construction promises: vertex budget s^n, cover
 systole exactly s, the triviality-radius identity, and the vertex lower
 bounds (the cup-product bound only where the cup certificate is
-computed, n <= 3 by default).
+computed, n <= ``CUP_MAX_DIM``).
 
 The essential bound column holds the displayed closed form
 ``essential_vertex_lower_bound``, one above the bound the ball-growth
@@ -31,6 +31,9 @@ from .errors import ParameterError, require_int
 from .generators import gen_symmetric_sphere, quotient
 
 FORMAT_VERSION = 1
+
+# Largest n whose cup certificate (xi^n nonzero) the grid computes.
+CUP_MAX_DIM = 3
 
 
 @dataclass(frozen=True)
@@ -110,9 +113,8 @@ def _json_cell(val):
     return val
 
 
-def measure_cell(n: int, s: int, cup_max_dim: int = 3) -> VerificationRow:
+def measure_cell(n: int, s: int) -> VerificationRow:
     """Generate, quotient, measure and check one grid cell."""
-    require_int(cup_max_dim, "cup_max_dim", 0)
     sphere = gen_symmetric_sphere(n, s)
     Q, xi = quotient(sphere)
     cover = build_cover(Q, xi, 2)
@@ -123,7 +125,7 @@ def measure_cell(n: int, s: int, cup_max_dim: int = 3) -> VerificationRow:
     # homology_triviality_radius(Q, [xi]) is by definition the radius of this cover
     r_homology = r_homotopy
     cup_ok = None
-    if n <= cup_max_dim:
+    if n <= CUP_MAX_DIM:
         cup_ok = class_is_nonzero(cup_power([xi] * n, Q))
     essential_bound = essential_vertex_lower_bound(n, s)
     cup_bound = cup_vertex_lower_bound(n, s)
@@ -143,8 +145,7 @@ def measure_cell(n: int, s: int, cup_max_dim: int = 3) -> VerificationRow:
     )
 
 
-def verify_grid(n_max: int, s_max: int, seed: int = 0, threads: int = 1,
-                cup_max_dim: int = 3) -> VerificationReport:
+def verify_grid(n_max: int, s_max: int, seed: int = 0, threads: int = 1) -> VerificationReport:
     """Run the full grid 1 <= n <= n_max, 3 <= s <= s_max, in (n, s) order.
 
     The cells run one after another.  ``threads`` is still accepted, and
@@ -159,5 +160,5 @@ def verify_grid(n_max: int, s_max: int, seed: int = 0, threads: int = 1,
     if require_int(threads, "threads", 1) != 1:
         raise ParameterError(f"threads must be 1, got {threads!r}; the grid runs serially")
     cells = [(n, s) for n in range(1, n_max + 1) for s in range(3, s_max + 1)]
-    rows = [measure_cell(n, s, cup_max_dim=cup_max_dim) for n, s in cells]
+    rows = [measure_cell(n, s) for n, s in cells]
     return VerificationReport(tuple(rows), seed=seed)

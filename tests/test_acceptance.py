@@ -28,7 +28,7 @@ import systola as sy
 from systola.bounds import comb0
 from systola.cochains import vertex_coboundary
 
-from conftest import brute_restriction_is_zero
+from oracles import brute_restriction_is_zero
 
 GOLDEN = Path(__file__).parent / "golden"
 

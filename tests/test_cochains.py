@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 import systola as sy
 from systola.cochains import coboundary, vertex_coboundary
-from systola.errors import DimensionError, DomainError, ParameterError
+from systola.errors import CocycleError, DimensionError, DomainError, ParameterError
 
-from conftest import (brute_class_is_nonzero, brute_restriction_is_zero, parity_class_is_nonzero,
-                      reference_h1_basis)
+from oracles import (brute_class_is_nonzero, brute_restriction_is_zero, parity_class_is_nonzero,
+                     reference_h1_basis)
 
 
 def _random_cochain(X, rng, ring=sy.RING_Z2):
@@ -191,6 +191,25 @@ def test_cup_single_class_is_the_class(rp2, rp2_class):
 def test_cup_degree_error(rp2, rp2_class):
     with pytest.raises(DimensionError):
         sy.cup_power([rp2_class] * 3)
+
+
+def test_cup_refuses_a_non_cocycle():
+    # 1 on one edge of the filled triangle has coboundary 1 on the triangle
+    tri = sy.build_complex([[0, 1, 2]])
+    with pytest.raises(CocycleError):
+        sy.cup_power([sy.Cochain1(tri, {(0, 1): 1})] * 2)
+
+
+def test_cup_checks_each_distinct_class_once(monkeypatch, torus_classes):
+    checked = []
+    real = sy.cochains.is_cocycle
+    monkeypatch.setattr(sy.cochains, "is_cocycle", lambda c: checked.append(c) or real(c))
+    a, b = torus_classes
+    sy.cup_power([a] * 2)
+    assert checked == [a]
+    checked.clear()
+    sy.cup_power([a, b])
+    assert checked == [a, b]
 
 
 def test_cup_square_on_rp2_is_nonzero(rp2, rp2_class):

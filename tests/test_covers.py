@@ -10,9 +10,9 @@ import systola as sy
 from systola.cochains import vertex_coboundary
 from systola.complexes import _bfs
 from systola.covers import _confirm_systole, _holonomy_scan, _mask_mixes_fibers
-from systola.errors import CocycleError, ParameterError, UnknownVertexError
+from systola.errors import CapacityError, CocycleError, ParameterError, UnknownVertexError
 
-from conftest import brute_cover_trivial_over, brute_homotopy_radius, \
+from oracles import brute_cover_trivial_over, brute_homotopy_radius, \
     integer_restriction_is_zero
 
 
@@ -57,6 +57,32 @@ def test_non_cocycle_rejected():
     X = sy.build_complex([[1, 2, 3]])
     with pytest.raises(CocycleError):
         sy.build_cover(X, sy.Cochain1(X, {(1, 2): 1}), 2)
+
+
+@pytest.mark.parametrize("fiber, on_other, ring, match", [
+    (1, False, sy.RING_Z, "fiber size"),
+    (2, True, sy.RING_Z2, "different complex"),
+    (3, False, sy.RING_Z2, "integer values"),
+])
+def test_build_cover_refusals(fiber, on_other, ring, match):
+    X = _cycle(5)
+    xi = sy.Cochain1(_cycle(5) if on_other else X, {(0, 1): 1}, ring)
+    with pytest.raises(ParameterError, match=match):
+        sy.build_cover(X, xi, fiber)
+
+
+@pytest.mark.parametrize("fiber", [10 ** 11, 10 ** 23])
+def test_oversized_total_graph_refused_before_any_array(monkeypatch, fiber):
+    X = _cycle(8)
+    cov = sy.build_cover(X, sy.Cochain1(X, {(0, 1): 1}, sy.RING_Z), fiber)
+    for build in ("array", "arange", "zeros"):  # an array build would raise TypeError
+        monkeypatch.setattr(sy.covers.np, build, None)
+    for measure in (sy.cover_systole, sy.homotopy_triviality_radius):
+        with pytest.raises(CapacityError, match="total graph"):
+            measure(cov)
+    # the block test builds no graph, so it works for any fiber
+    assert sy.is_pi_inessential(cov, {0, 1, 2})
+    assert not sy.is_pi_inessential(cov, set(X.vertices))
 
 
 def test_cover_counts_and_projection(rp2, rp2_class):

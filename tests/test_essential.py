@@ -13,8 +13,8 @@ from systola.errors import CapacityError, DimensionError, ParameterError
 from systola.essential import _heuristic
 from systola.gf2 import _bits
 
-from conftest import (brute_cover_trivial_over, graph_girth, reference_heuristic,
-                      simple_cycles)
+from oracles import (brute_cover_trivial_over, graph_girth, reference_heuristic,
+                     simple_cycles)
 
 
 def test_forest_criterion_cases():
@@ -212,6 +212,15 @@ def test_non_integer_n_rejected():
                                       budget_ms=np.int32(1000), seed=1)
     assert v.status == "not-essential" and len(v.witness) <= 4
     assert sy.combinatorial_essentiality(k7, np.int64(3)).essential is True
+
+
+def test_n_above_the_vertex_count_is_the_vertex_count():
+    k7 = sy.gen_named("complete-7")
+    for mode in ("heuristic", "exhaustive"):
+        huge = sy.combinatorial_essentiality(k7, 10 ** 11, mode=mode, seed=1)
+        seven = sy.combinatorial_essentiality(k7, 7, mode=mode, seed=1)
+        assert huge.status == "not-essential"
+        assert huge.witness.blocks == seven.witness.blocks
 
 
 def test_heuristic_determinism_same_seed():

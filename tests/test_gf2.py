@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from systola import gf2
 
-from conftest import brute_in_span, brute_kernel_basis, brute_rref
+from oracles import brute_in_span, brute_kernel_basis, brute_rref
 
 BITS = 12
 

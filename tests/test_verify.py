@@ -34,7 +34,7 @@ def test_measure_cell_flags_recomputable():
 
 
 def test_cup_certificate_skipped_above_cutoff():
-    row = sy.measure_cell(4, 3, cup_max_dim=3)
+    row = sy.measure_cell(4, 3)
     assert row.cup_essential is None
     assert row.ok_cup_bound is True
 
@@ -49,14 +49,10 @@ def test_grid_range_validation():
     for kwargs in ({"n_max": True, "s_max": 3}, {"n_max": 2.0, "s_max": 3},
                    {"n_max": 1, "s_max": 3.0}, {"n_max": 1, "s_max": "3"},
                    {"n_max": 1, "s_max": 3, "seed": "abc"}, {"n_max": 1, "s_max": 3, "seed": -1},
-                   {"n_max": 1, "s_max": 3, "cup_max_dim": "x"},
                    {"n_max": 1, "s_max": 3, "threads": 2},
                    {"n_max": 1, "s_max": 3, "threads": True}):
         with pytest.raises(ParameterError):
             sy.verify_grid(**kwargs)
-    for cup_max_dim in ("x", 1.0, -1):
-        with pytest.raises(ParameterError):
-            sy.measure_cell(1, 3, cup_max_dim=cup_max_dim)
 
 
 def test_report_rows_ordered_and_serializable():
