@@ -20,10 +20,11 @@ class Cochain1:
 
     Over Z2 the orientation is irrelevant; over the integers the stored
     value belongs to the edge oriented from its smaller to its larger
-    vertex.
+    vertex.  ``values`` is not changed after construction, so the cocycle
+    verdict and the step table are computed at most once per cochain.
     """
 
-    __slots__ = ("complex", "values", "ring", "_steps")
+    __slots__ = ("complex", "values", "ring", "_steps", "_cocycle")
 
     def __init__(self, complex: SimplicialComplex, values, ring: str = RING_Z2):
         if ring not in (RING_Z2, RING_Z):
@@ -44,6 +45,7 @@ class Cochain1:
         self.values = vals
         self.ring = ring
         self._steps = None
+        self._cocycle = None
 
     def value(self, u, v) -> int:
         """Value on the oriented edge u -> v."""
@@ -119,7 +121,17 @@ def vertex_coboundary(X: SimplicialComplex, g, ring: str = RING_Z2) -> Cochain1:
 
 
 def is_cocycle(c: Cochain1) -> bool:
-    """True iff the coboundary of c vanishes on every 2-face."""
+    """True iff the coboundary of c vanishes on every 2-face.
+
+    The verdict is kept on c, so ``build_cover`` and ``cup_power`` on the
+    same cochain check it once between them.
+    """
+    if c._cocycle is None:
+        c._cocycle = _coboundary_vanishes(c)
+    return c._cocycle
+
+
+def _coboundary_vanishes(c: Cochain1) -> bool:
     X = c.complex
     if c.ring == RING_Z2:
         for a, b, d in X.faces(2):

@@ -40,11 +40,9 @@ class SimplicialComplex:
     __slots__ = ("facets", "vertices", "_faces", "_adjacency", "_vertex_index", "_derived")
 
     def __init__(self, facets):
-        self.facets = tuple(sorted(facets, key=lambda f: (len(f), f)))
-        seen = set()
-        for f in self.facets:
-            seen.update(f)
-        self.vertices = tuple(sorted(seen))
+        # sorted by (length, face): a stable sort by length of the sorted faces
+        self.facets = tuple(sorted(sorted(facets), key=len))
+        self.vertices = tuple(sorted(set().union(*self.facets)))
         self._faces = {}
         self._adjacency = None
         self._vertex_index = None

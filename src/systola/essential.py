@@ -155,7 +155,11 @@ def _heuristic(m, n, passes, rng, deadline, max_rounds):
     """A partition of vertices 0..m-1 into at most n blocks that all
     ``passes``, or None.  Each round draws a label per vertex, then 4m times
     moves a random vertex of a random failing block to a random label; the
-    blocks are bitmasks, one per label, in the order of their lowest vertex."""
+    blocks are bitmasks, one per label, in the order of their lowest vertex.
+    With no vertices the empty partition is the witness, as in the
+    exhaustive search."""
+    if m == 0:
+        return []
     rounds = 0
     while rounds < max_rounds and time.monotonic() < deadline:
         rounds += 1

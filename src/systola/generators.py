@@ -9,19 +9,29 @@ simplices to staircase simplices, so the involution stays simplicial
 and free.  Copy v of the previous sphere (m vertices) in layer
 l = 1..s-1 is vertex (l-1)·m + v, and the poles are the two largest ids.
 
+A generated sphere lives as three int32 arrays: the facets (one sorted
+row each), the involution ``tau[v]`` and the signed labels ``lab[v]``.
+Each suspension step writes the staircase cells of every layer pair as
+array slices and takes the involution and labels in closed form: copy v
+in layer l maps to copy tau[v] in the mirror layer s - l, the poles swap,
+and v is positive iff v < tau[v], numbered in vertex order.  The
+``complex``, ``involution`` and ``labels`` of a ``SymmetricComplex`` are
+built from the arrays on first read, with plain ``int`` vertices.
+
 The antipodal quotient is a projective-space triangulation with edge
 systole exactly s.  Its vertex i is the i-th positive-label vertex with
-its antipode, and a negative label marks sheet 1.  One pass over the
-sphere's edges checks them and reads the sheet-transition cocycle, which
-reconstructs the sphere as the quotient's double cover.
+its antipode, and a negative label marks sheet 1.  ``quotient`` works on
+the arrays; a hand-built sphere is converted to them once.  It checks the
+sphere's edges as packed pair keys and reads the sheet-transition cocycle,
+which reconstructs the sphere as the quotient's double cover.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
+
+import numpy as np
 
 from .cochains import RING_Z2, Cochain1
 from .complexes import SimplicialComplex
@@ -30,61 +40,91 @@ from .errors import CapacityError, ParameterError, QuotientError, require_int
 MAX_QUOTIENT_FACETS = 10 ** 6
 
 
-@dataclass(frozen=True)
 class SymmetricComplex:
     """A complex with a free simplicial involution and signed labels.
 
     Antipodal vertices carry labels of equal absolute value and opposite
-    sign, so ordering by label is reversed by the involution.
+    sign, so ordering by label is reversed by the involution.  A generated
+    sphere keeps its facet, involution and label arrays and builds the
+    three public views from them only when they are first read.
     """
 
-    complex: SimplicialComplex
-    involution: dict
-    labels: dict
+    __slots__ = ("_complex", "_involution", "_labels", "_arrays")
+
+    def __init__(self, complex: SimplicialComplex, involution: dict, labels: dict):
+        self._complex = complex
+        self._involution = involution
+        self._labels = labels
+        self._arrays = None
+
+    @classmethod
+    def _from_arrays(cls, facets, tau, lab) -> "SymmetricComplex":
+        sc = cls(None, None, None)
+        sc._arrays = facets, tau, lab
+        return sc
+
+    @property
+    def complex(self) -> SimplicialComplex:
+        if self._complex is None:
+            facets, tau, _ = self._arrays
+            self._complex = SimplicialComplex(_as_tuples(facets, len(tau)))
+        return self._complex
+
+    @property
+    def involution(self) -> dict:
+        if self._involution is None:
+            self._involution = dict(enumerate(self._arrays[1].tolist()))
+        return self._involution
+
+    @property
+    def labels(self) -> dict:
+        if self._labels is None:
+            self._labels = dict(enumerate(self._arrays[2].tolist()))
+        return self._labels
 
 
-def _polygon_sphere(s: int) -> SymmetricComplex:
+def _as_tuples(rows: np.ndarray, count: int) -> list:
+    """The rows as tuples of Python ints, one shared int object per id below
+    ``count``, so that equal vertices in different tuples are one object."""
+    ids = np.arange(count).astype(object)
+    return list(zip(*ids[rows.T]))
+
+
+def _polygon_sphere(s: int):
     rim = 2 * s
-    facets = [tuple(sorted((i, (i + 1) % rim))) for i in range(rim)]
-    involution = {i: (i + s) % rim for i in range(rim)}
-    labels = {i: (i + 1 if i < s else -(i - s + 1)) for i in range(rim)}
-    return SymmetricComplex(SimplicialComplex(facets), involution, labels)
+    i = np.arange(rim, dtype=np.int32)
+    facets = np.sort(np.column_stack([i, (i + 1) % rim]), axis=1)
+    tau = (i + s) % rim
+    lab = np.where(i < s, i + 1, s - 1 - i)
+    return facets, tau, lab
 
 
-def _add_layers(sc: SymmetricComplex, s: int) -> SymmetricComplex:
+def _add_layers(facets, tau, lab, s: int):
     """One suspension step: (s-1) layers, staircase cylinders, two cones.
 
-    Ids come from one shared list, so facet tuples share their int objects.
+    Between layers l and l+1 a facet with vertices w_1 < ... < w_k in
+    label order gives the k cells {w_1..w_j in layer l} + {w_j..w_k in
+    layer l+1}.  Shifting a cell by whole layers keeps its sorted order,
+    so the cells are built and sorted once and then offset per layer pair.
     """
-    X, tau, lab = sc.complex, sc.involution, sc.labels
-    m = X.num_vertices
-    ids = list(range((s - 1) * m + 2))
-    layers = [ids[lo:lo + m] for lo in range(0, (s - 1) * m, m)]
-    south, north = ids[-2], ids[-1]
-
-    by_label = [sorted(f, key=lab.__getitem__) for f in X.facets]
-    facets = set()
-    for low, high in zip(layers, layers[1:]):
-        for ws in by_label:
-            for j in range(1, len(ws) + 1):
-                cell = [low[w] for w in ws[:j]] + [high[w] for w in ws[j - 1:]]
-                facets.add(tuple(sorted(cell)))
-    for f in X.facets:
-        facets.add(tuple([layers[0][w] for w in f] + [south]))
-        facets.add(tuple([layers[-1][w] for w in f] + [north]))
-
-    involution = {south: north, north: south}
-    for layer, mirror in zip(layers, reversed(layers)):
-        for v in X.vertices:
-            involution[layer[v]] = mirror[tau[v]]
-    labels = {}
-    nxt = 1
-    for v in ids:
-        if v not in labels:
-            labels[v] = nxt
-            labels[involution[v]] = -nxt
-            nxt += 1
-    return SymmetricComplex(SimplicialComplex(facets), involution, labels)
+    m = len(tau)
+    k = facets.shape[1]
+    ws = np.take_along_axis(facets, np.argsort(lab[facets], axis=1), axis=1)
+    stair = np.sort(np.concatenate([np.concatenate([ws[:, :j], ws[:, j - 1:] + m], axis=1)
+                                    for j in range(1, k + 1)]), axis=1)
+    offsets = np.arange(s - 2, dtype=np.int32) * m
+    south, north = (s - 1) * m, (s - 1) * m + 1
+    cone = np.full((len(facets), 1), south, dtype=np.int32)
+    out = np.concatenate([(stair + offsets[:, None, None]).reshape(-1, k + 1),
+                          np.hstack([facets, cone]),
+                          np.hstack([facets + (s - 2) * m, cone + 1])])
+    mirror = np.arange(s - 2, -1, -1, dtype=np.int32) * m
+    new_tau = np.concatenate([(mirror[:, None] + tau).ravel(),
+                              np.array([north, south], dtype=np.int32)])
+    positive = np.arange(len(new_tau)) < new_tau
+    rank = np.cumsum(positive, dtype=np.int32)
+    new_lab = np.where(positive, rank, -rank[new_tau])
+    return out, new_tau, new_lab
 
 
 def quotient_facet_count(n: int, s: int) -> int:
@@ -111,10 +151,45 @@ def gen_symmetric_sphere(n: int, s: int) -> SymmetricComplex:
         raise CapacityError(
             f"the ({n}, {s}) quotient would have {facets:,} facets, above the "
             f"cap of {MAX_QUOTIENT_FACETS:,}")
-    sc = _polygon_sphere(s)
+    arrays = _polygon_sphere(s)
     for _ in range(n - 1):
-        sc = _add_layers(sc, s)
-    return sc
+        arrays = _add_layers(*arrays, s)
+    return SymmetricComplex._from_arrays(*arrays)
+
+
+def _sphere_arrays(sc: SymmetricComplex):
+    """``(names, facet arrays by width, tau, lab)`` over vertex indices.
+
+    ``names[i]`` is the vertex with index i, and each facet row is sorted.
+    A hand-built sphere is indexed through ``complex.vertex_index()``; an
+    involution value that is no vertex of the complex becomes -1.
+    """
+    if sc._arrays is not None:
+        facets, tau, lab = sc._arrays
+        return range(len(tau)), [facets], tau, lab
+    X, involution, labels = sc.complex, sc.involution, sc.labels
+    index = X.vertex_index()
+    tau = np.array([index.get(involution.get(v), -1) for v in X.vertices], dtype=np.int32)
+    lab = np.array([labels.get(v) or 0 for v in X.vertices])
+    widths = sorted({len(f) for f in X.facets})
+    groups = [np.sort(np.array([[index[v] for v in f] for f in X.facets if len(f) == k],
+                               dtype=np.int32).reshape(-1, k), axis=1) for k in widths]
+    return X.vertices, groups, tau, lab
+
+
+def _run_starts(rows) -> np.ndarray:
+    """Mask of the entries (or rows) of a sorted array that differ from the
+    one before; np.unique hashes, and is slower than a sort and this mask."""
+    starts = np.ones(len(rows), dtype=bool)
+    change = rows[1:] != rows[:-1]
+    starts[1:] = change if change.ndim == 1 else change.any(axis=1)
+    return starts
+
+
+def _first(mask) -> int:
+    """Index of the first True in mask, or len(mask) when there is none."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if len(hits) else len(mask)
 
 
 def quotient(sc: SymmetricComplex):
@@ -125,38 +200,73 @@ def quotient(sc: SymmetricComplex):
     involution is free of order 2 and negates nonzero labels, no edge joins
     antipodes, edges map to edges, both lifts of a quotient edge change
     sheet alike, and every quotient facet has exactly two preimages.
+    Offending vertices are named by their labels in the sphere.
     """
-    X, tau, lab = sc.complex, sc.involution, sc.labels
-    for v in X.vertices:
-        t = tau.get(v)
-        if t == v or tau.get(t) != v:
-            raise QuotientError("involution is not a free order-2 map")
-        if not lab.get(v) or lab.get(t) != -lab[v]:
-            raise QuotientError(f"labels of antipodes {v!r}, {t!r} are not opposite and nonzero")
-    qid = {}
-    for i, v in enumerate(v for v in X.vertices if lab[v] > 0):
-        qid[v] = qid[tau[v]] = i
+    names, groups, tau, lab = _sphere_arrays(sc)
+    nv = len(tau)
+    idx = np.arange(nv, dtype=np.int32)
+    t = np.where(tau >= 0, tau, idx)
+    not_free = (tau < 0) | (t == idx) | (tau[t] != idx)
+    bad_inv = _first(not_free)
+    bad_lab = _first(~not_free & ((lab == 0) | (lab[t] != -lab)))
+    if bad_inv < nv and bad_inv <= bad_lab:
+        raise QuotientError("involution is not a free order-2 map")
+    if bad_lab < nv:
+        v, w = names[bad_lab], names[tau[bad_lab]]
+        raise QuotientError(f"labels of antipodes {v!r}, {w!r} are not opposite and nonzero")
+    positive = lab > 0
+    nq = int(positive.sum())
+    qid = np.empty(nv, dtype=np.int32)
+    qid[positive] = qid[tau[positive]] = np.arange(nq, dtype=np.int32)
+    del t, not_free, positive
 
-    edges = X.faces(1)
-    sheet_change = {}
-    for u, v in edges:
-        tu, tv = tau[u], tau[v]
-        if tu == v:
-            raise QuotientError(f"antipodal vertices {u!r}, {v!r} share an edge")
-        if (tu, tv) not in edges and (tv, tu) not in edges:
-            raise QuotientError(f"edge ({u!r}, {v!r}) has no edge as its antipodal image")
-        a, b = qid[u], qid[v]
-        e = (a, b) if a < b else (b, a)
-        flip = (lab[u] < 0) != (lab[v] < 0)
-        if sheet_change.setdefault(e, flip) != flip:
-            raise QuotientError(f"edge {e} lifts ambiguously")
+    # sphere edges as sorted keys u*nv + v (u < v, since facet rows are sorted)
+    edges = np.sort(np.concatenate(
+        [F[:, i].astype(np.int64) * nv + F[:, j]
+         for F in groups for i, j in combinations(range(F.shape[1]), 2)]
+        or [np.empty(0, dtype=np.int64)]))
+    edges = edges[_run_starts(edges)]
+    u, v = (edges // nv).astype(np.int32), (edges % nv).astype(np.int32)
+    tu, tv = tau[u], tau[v]
+    i = _first(tu == v)
+    if i < len(u):
+        raise QuotientError(f"antipodal vertices {names[u[i]]!r}, {names[v[i]]!r} share an edge")
+    image = np.minimum(tu, tv).astype(np.int64) * nv + np.maximum(tu, tv)
+    del tu, tv
+    i = _first(edges[np.minimum(np.searchsorted(edges, image), len(edges) - 1)] != image)
+    if i < len(u):
+        raise QuotientError(
+            f"edge ({names[u[i]]!r}, {names[v[i]]!r}) has no edge as its antipodal image")
+    del edges, image
 
-    counts = Counter(tuple(sorted(qid[v] for v in f)) for f in X.facets)
-    bad = {q: c for q, c in counts.items() if c != 2}
-    if bad:
-        raise QuotientError(f"identification conflict on {len(bad)} facets")
-    Q = SimplicialComplex(counts.keys())
-    return Q, Cochain1(Q, {e: 1 for e, flip in sheet_change.items() if flip}, RING_Z2)
+    a, b = qid[u], qid[v]
+    qkey = np.minimum(a, b).astype(np.int64) * nq + np.maximum(a, b)
+    flip = (lab[u] < 0) != (lab[v] < 0)
+    del a, b, u, v
+    order = np.argsort(qkey, kind="stable")
+    qkey, flip = qkey[order], flip[order]
+    first = _run_starts(qkey)
+    i = _first(~first[1:] & (flip[1:] != flip[:-1]))
+    if i < len(qkey) - 1:
+        e = divmod(int(qkey[i]), nq)
+        raise QuotientError(f"edge {e} lifts ambiguously")
+    qkey, flip = qkey[first], flip[first]
+    del order, first
+
+    rows, conflicts = [], 0
+    for F in groups:
+        R = np.sort(qid[F], axis=1)
+        R = R[np.lexsort(R.T[::-1])]
+        starts = np.flatnonzero(_run_starts(R))
+        conflicts += int((np.diff(np.append(starts, len(R))) != 2).sum())
+        rows.append(R[starts])
+    if conflicts:
+        raise QuotientError(f"identification conflict on {conflicts} facets")
+    Q = SimplicialComplex([f for R in rows for f in _as_tuples(R, nq)])
+    qedges = _as_tuples(np.column_stack([qkey // nq, qkey % nq]), nq)
+    Q._faces[1] = frozenset(qedges)  # the images of the sphere's edges: Q's edges, not re-derived
+    odd = [e for e, f in zip(qedges, flip.tolist()) if f]
+    return Q, Cochain1(Q, dict.fromkeys(odd, 1), RING_Z2)
 
 
 def gen_projective_space(n: int, s: int):

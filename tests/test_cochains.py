@@ -212,6 +212,25 @@ def test_cup_checks_each_distinct_class_once(monkeypatch, torus_classes):
     assert checked == [a, b]
 
 
+def test_each_cochain_is_checked_for_the_cocycle_property_once(monkeypatch):
+    checked = []
+    real = sy.cochains._coboundary_vanishes
+    monkeypatch.setattr(sy.cochains, "_coboundary_vanishes",
+                        lambda c: checked.append(c) or real(c))
+    Q, xi = sy.quotient(sy.gen_symmetric_sphere(2, 4))
+    sy.build_cover(Q, xi, 2)
+    assert sy.class_is_nonzero(sy.cup_power([xi] * 2, Q))
+    assert sy.is_cocycle(xi)
+    assert checked == [xi]
+    broken = sy.Cochain1(sy.build_complex([[0, 1, 2]]), {(0, 1): 1})
+    for _ in range(2):
+        with pytest.raises(CocycleError):
+            sy.build_cover(broken.complex, broken, 2)
+        with pytest.raises(CocycleError):
+            sy.cup_power([broken] * 2)
+    assert checked == [xi, broken]
+
+
 def test_cup_square_on_rp2_is_nonzero(rp2, rp2_class):
     square = sy.cup_power([rp2_class, rp2_class])
     assert sy.class_is_nonzero(square)

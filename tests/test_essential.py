@@ -183,6 +183,14 @@ def test_capacity_error_beyond_fourteen_vertices():
         sy.combinatorial_essentiality(big, 2)
 
 
+def test_both_modes_split_the_empty_complex_into_no_blocks():
+    empty = sy.SimplicialComplex([])
+    for mode in ("exhaustive", "heuristic"):
+        v = sy.combinatorial_essentiality(empty, 2, mode=mode)
+        assert (v.essential, v.witness, v.block_tests) == (False, sy.VertexPartition(()), 0)
+        assert v.status == "not-essential"
+
+
 def test_heuristic_finds_witness_but_never_claims_essential():
     k7 = sy.gen_named("complete-7")
     found = sy.combinatorial_essentiality(k7, 4, mode="heuristic", seed=1)

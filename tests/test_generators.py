@@ -183,12 +183,16 @@ def test_three_path_families_realise_the_systole():
 
 
 # sha256 of the sphere, its involution and labels, Q and xi, as generated
-# before the vertex ids came by arithmetic and the quotient by one edge pass
+# before the vertex ids came by arithmetic and the quotient by one edge pass;
+# (3, 8) and (4, 8) as generated by the dict-and-tuple code, before the
+# sphere and its quotient moved to arrays
 GENERATOR_DIGESTS = {
     (1, 8): "7b4c5eb2f69c7793f04f32af07e7c13eb57ceee49123c5fd46d71c3c00f3649d",
     (2, 7): "8476aafbf3654313aae13fc3ad59cdd68ac7612fbb5a57a3d0d83426bb328518",
     (3, 6): "ea95a1892f072a1ec65b4762c6729ce0183676894a04f09a71d8cdb740a9165c",
+    (3, 8): "853f3317789cb3bcffd2a276217b5d72fb6c415ace7f068a99a1c8a2322f6e71",
     (4, 6): "b580f14445579129c3497e0b606b88ebb8d809638bc83cefceb6231731dce909",
+    (4, 8): "07137b1613b46cd632fad65cd87206cd6c85495117a381cf9c4b6e8f2ea8b11a",
 }
 
 
@@ -203,6 +207,28 @@ def test_generator_output_is_pinned(n, s):
         h.update(part.encode())
         h.update(b"\0")
     assert h.hexdigest() == GENERATOR_DIGESTS[(n, s)]
+
+
+def test_generated_sphere_views_hold_plain_ints():
+    sphere = sy.gen_symmetric_sphere(3, 4)
+    for view in (sphere.involution, sphere.labels):
+        assert all(type(v) is int and type(x) is int for v, x in view.items())
+    assert all(type(v) is int for f in sphere.complex.facets for v in f)
+
+
+@pytest.mark.parametrize("n,s", [(1, 5), (2, 4), (3, 4)])
+def test_hand_built_sphere_quotients_like_the_generated_one(n, s):
+    sphere = sy.gen_symmetric_sphere(n, s)
+    Q, xi = sy.quotient(sphere)
+    same = SymmetricComplex(sphere.complex, sphere.involution, sphere.labels)
+    shifted = SymmetricComplex(
+        SimplicialComplex([tuple(v + 10 for v in f) for f in sphere.complex.facets]),
+        {v + 10: w + 10 for v, w in sphere.involution.items()},
+        {v + 10: x for v, x in sphere.labels.items()})
+    for hand in (same, shifted):
+        Qh, xih = sy.quotient(hand)
+        assert Qh == Q and Qh.vertices == Q.vertices
+        assert xih.values == xi.values and sy.dumps_cochain(xih) == sy.dumps_cochain(xi)
 
 
 def _antipodal(facets, pairs):
@@ -241,6 +267,17 @@ def test_quotient_rejects_an_antipodal_edge():
     square = _antipodal([(0, 1), (1, 2), (2, 3), (0, 3)], [(0, 1), (2, 3)])
     with pytest.raises(QuotientError, match="share an edge"):
         sy.quotient(square)
+
+
+def test_quotient_errors_name_the_sphere_vertices():
+    square = _antipodal([(10, 11), (11, 12), (12, 13), (10, 13)], [(10, 11), (12, 13)])
+    with pytest.raises(QuotientError, match="antipodal vertices 10, 11 share an edge"):
+        sy.quotient(square)
+    hexagon = _antipodal([(10, 11), (11, 12), (12, 13), (13, 14), (14, 15), (10, 15)],
+                         [(10, 13), (11, 14), (12, 15)])
+    hexagon.labels[14] = 0
+    with pytest.raises(QuotientError, match="labels of antipodes 11, 14 are not"):
+        sy.quotient(hexagon)
 
 
 def test_quotient_rejects_an_edge_whose_image_is_no_edge():
