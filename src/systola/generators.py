@@ -200,7 +200,7 @@ def quotient(sc: SymmetricComplex):
     involution is free of order 2 and negates nonzero labels, no edge joins
     antipodes, edges map to edges, both lifts of a quotient edge change
     sheet alike, and every quotient facet has exactly two preimages.
-    Offending vertices are named by their labels in the sphere.
+    Offending vertices are named by their ids in the sphere.
     """
     names, groups, tau, lab = _sphere_arrays(sc)
     nv = len(tau)
@@ -239,19 +239,20 @@ def quotient(sc: SymmetricComplex):
             f"edge ({names[u[i]]!r}, {names[v[i]]!r}) has no edge as its antipodal image")
     del edges, image
 
+    # quotient edge key a*nq + b (a < b), doubled, plus 1 where the lift changes sheet
     a, b = qid[u], qid[v]
-    qkey = np.minimum(a, b).astype(np.int64) * nq + np.maximum(a, b)
-    flip = (lab[u] < 0) != (lab[v] < 0)
+    lifts = np.minimum(a, b).astype(np.int64) * (2 * nq) + 2 * np.maximum(a, b)
+    lifts += (lab[u] < 0) != (lab[v] < 0)
     del a, b, u, v
-    order = np.argsort(qkey, kind="stable")
-    qkey, flip = qkey[order], flip[order]
+    lifts.sort()
+    qkey, flip = lifts >> 1, (lifts & 1).astype(bool)
     first = _run_starts(qkey)
     i = _first(~first[1:] & (flip[1:] != flip[:-1]))
     if i < len(qkey) - 1:
         e = divmod(int(qkey[i]), nq)
         raise QuotientError(f"edge {e} lifts ambiguously")
     qkey, flip = qkey[first], flip[first]
-    del order, first
+    del lifts, first
 
     rows, conflicts = [], 0
     for F in groups:
@@ -264,7 +265,7 @@ def quotient(sc: SymmetricComplex):
         raise QuotientError(f"identification conflict on {conflicts} facets")
     Q = SimplicialComplex([f for R in rows for f in _as_tuples(R, nq)])
     qedges = _as_tuples(np.column_stack([qkey // nq, qkey % nq]), nq)
-    Q._faces[1] = frozenset(qedges)  # the images of the sphere's edges: Q's edges, not re-derived
+    Q._faces[1] = frozenset(qedges)  # Q's edges are the sphere's edges' images
     odd = [e for e, f in zip(qedges, flip.tolist()) if f]
     return Q, Cochain1(Q, dict.fromkeys(odd, 1), RING_Z2)
 
