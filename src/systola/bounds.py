@@ -195,9 +195,11 @@ def fvector_lower_bounds(n: int, s: int) -> FVectorBounds:
     f0 >= 2^(n-1) C(floor(s/2), n); for 1 <= k <= n,
     fk >= C(n+1, k) (2^n C(floor(s/2), n) - 2n) + 2^(k+1) C(n+1, k+1);
     f_{n-1} >= 2^n n C(floor(s/2), n) + 2^(n+1) - 2n^2 + 2n + 4.
+    s must be an integer of at least 3; an infinite s is refused, since no
+    polytope has one.
     """
     n = require_int(n, "n", 1)
-    half = _half(s)
+    half = require_int(s, "systole", 3) // 2
     core = comb0(half, n)
     f0 = 2 ** (n - 1) * core
     base = 2 ** n * core
@@ -234,7 +236,7 @@ class PiecewisePoly:
         return len(self.pieces) - 1
 
     def __call__(self, r) -> Fraction:
-        r = Fraction(r)
+        r = _rational(r, "r")
         if r < 0:
             raise ParameterError("defined for r >= 0 only")
         coeffs = self.pieces[self._piece_at(r)]
@@ -270,8 +272,23 @@ class PiecewisePoly:
         return PiecewisePoly(self.breakpoints, tuple(new_pieces))
 
 
+def _rational(value, name: str) -> Fraction:
+    """``value`` as an exact Fraction: the one converter of rational arguments.
+
+    Ints, Fractions, finite floats and strings such as "3/2" are read
+    exactly; bools, NaN, infinities, None and malformed strings are refused
+    with ``ParameterError``, never coerced.
+    """
+    if not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+            pass
+    raise ParameterError(f"{name} must be a rational number, got {value!r}")
+
+
 def _validate_lengths(L) -> list[Fraction]:
-    out = [Fraction(x) for x in L]
+    out = [_rational(x, "length") for x in L]
     if any(x < 0 for x in out):
         raise ParameterError("lengths must be nonnegative")
     if any(a > b for a, b in zip(out, out[1:])):
@@ -314,7 +331,7 @@ def volume_profile(L) -> PiecewisePoly:
 
 def ball_volume_lower_bound(r, L) -> Fraction:
     """Evaluate the volume profile at radius r, exactly."""
-    return volume_profile(L)(Fraction(r))
+    return volume_profile(L)(r)
 
 
 def volume_recursion_check(L, grid=()) -> bool:
@@ -333,7 +350,7 @@ def volume_recursion_check(L, grid=()) -> bool:
     points.update(rhs.breakpoints)
     points.update(lhs.breakpoints)
     for g in grid:
-        g = Fraction(g)
+        g = _rational(g, "grid point")
         if g < 0:
             raise ParameterError("grid points must be nonnegative")
         points.add(g)

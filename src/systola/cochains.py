@@ -8,8 +8,9 @@ tests work over Z2.
 from __future__ import annotations
 
 from . import gf2
-from .complexes import InducedSubcomplex, SimplicialComplex, induced
-from .errors import CocycleError, DimensionError, DomainError, ParameterError, require_int
+from .complexes import InducedSubcomplex, SimplicialComplex
+from .errors import CocycleError, DimensionError, DomainError, ParameterError, \
+    UnknownVertexError, require_int
 
 RING_Z2 = "Z2"
 RING_Z = "Z"
@@ -292,8 +293,15 @@ def potential_is_consistent(steps, W, modulus=None) -> bool:
     ``steps[v]`` lists (w, step) per oriented edge v -> w, the reverse edge
     with the negated step.  Each vertex of <W> takes its potential from its
     tree parent; the first edge that disagrees answers False.  ``modulus``
-    is the fiber for covers, 2 over Z2 and None over the integers.
+    is the fiber for covers, 2 over Z2 and None over the integers.  W may be
+    any iterable of vertices; this is the one place where a vertex subset is
+    checked, and a vertex with no entry in ``steps`` is refused with
+    ``UnknownVertexError``.
     """
+    W = W if isinstance(W, (set, frozenset)) else set(W)
+    if not steps.keys() >= W:
+        unknown = next(v for v in W if v not in steps)
+        raise UnknownVertexError(f"{unknown!r} is not a vertex of the complex")
     potential = {}
     for root in W:
         if root in potential:
@@ -322,5 +330,4 @@ def restriction_is_zero(c: Cochain1, S) -> bool:
     is trivial over S.
     """
     W = S.vertex_subset if isinstance(S, InducedSubcomplex) else S
-    return potential_is_consistent(c.step_table(), induced(c.complex, W).vertex_subset,
-                                   2 if c.ring == RING_Z2 else None)
+    return potential_is_consistent(c.step_table(), W, 2 if c.ring == RING_Z2 else None)

@@ -128,7 +128,12 @@ class SimplicialComplex:
 
 
 def _bfs(X: SimplicialComplex, x, cutoff=None) -> dict:
-    """Vertex -> edge distance from x, for the vertices within ``cutoff``."""
+    """Vertex -> edge distance from x, for the vertices within ``cutoff``.
+
+    The one check of a BFS root: an x that is not a vertex of X is refused.
+    """
+    if not X.has_vertex(x):
+        raise UnknownVertexError(f"{x!r} is not a vertex of the complex")
     adj = X.adjacency()
     dist = {x: 0}
     queue = deque([x])

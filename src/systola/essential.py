@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from .cochains import RING_Z, Cochain1, potential_is_consistent
 from .complexes import SimplicialComplex
 from .covers import Cover, is_pi_inessential
-from .errors import (CapacityError, DimensionError, ParameterError, UnknownVertexError,
-                     require_int)
+from .errors import CapacityError, DimensionError, ParameterError, require_int
 from .gf2 import _bits
 
 MAX_EXHAUSTIVE_VERTICES = 14
@@ -96,10 +95,6 @@ def is_inessential_graph(X: SimplicialComplex, W) -> bool:
     """
     if X.dim > 1:
         raise DimensionError("forest criterion applies to 1-dimensional complexes")
-    W = frozenset(W)
-    for v in W:
-        if not X.has_vertex(v):
-            raise UnknownVertexError(f"{v!r} is not a vertex of the complex")
     return _block_test(X, None)(W)
 
 
@@ -119,6 +114,8 @@ def _block_test(X, cover):
     if cover is not None:
         if not isinstance(cover, Cover):
             raise ParameterError("cover must be a Cover instance")
+        if cover.base is not X:
+            raise ParameterError("cover does not cover this complex")
         return lambda block: is_pi_inessential(cover, block)
     if X.dim <= 1:
         steps = X.derived("forest_steps", _forest_steps)
@@ -206,8 +203,6 @@ def combinatorial_essentiality(X: SimplicialComplex, n: int,
     """
     n = require_int(n, "n", 1)
     budget_ms = require_int(budget_ms, "budget_ms", 1)
-    if cover is not None and cover.base is not X:
-        raise ParameterError("cover does not cover this complex")
     test = _block_test(X, cover)
     vertices = X.vertices
     m = len(vertices)

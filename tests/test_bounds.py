@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -163,6 +164,9 @@ def test_bounds_refuse_a_non_integer_n(bound):
 def test_infinite_systole_propagates():
     assert sy.essential_vertex_lower_bound(2, sy.INFINITY) == sy.INFINITY
     assert sy.cup_vertex_lower_bound(3, sy.INFINITY) == sy.INFINITY
+    # no polytope has an infinite systole, so the f-vector bounds refuse one
+    with pytest.raises(ParameterError, match="systole must be an integer at least 3"):
+        sy.fvector_lower_bounds(3, sy.INFINITY)
 
 
 def test_cup_vertex_bound_examples():
@@ -208,6 +212,20 @@ def test_volume_profile_rejects_bad_lengths():
         sy.volume_profile([3, 1])
     with pytest.raises(ParameterError):
         sy.volume_profile([-1, 2])
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: sy.volume_profile([1, x]),
+    lambda x: sy.ball_volume_lower_bound(x, [1]),
+    lambda x: sy.volume_recursion_check([1, 2], [x]),
+    lambda x: sy.volume_profile([2])(x),
+], ids=["length", "radius", "grid_point", "profile_at"])
+def test_rationals_are_read_by_one_converter(call):
+    for bad in ("a", "1/0", math.nan, math.inf, -math.inf, None, True, False, 1j):
+        with pytest.raises(ParameterError, match="must be a rational number"):
+            call(bad)
+    assert call("3/2") == call(Fraction(3, 2)) == call(1.5)
+    assert call(np.int64(2)) == call(2)
 
 
 def test_volume_recursion_example():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 import systola as sy
 from systola.cochains import vertex_coboundary
 from systola.complexes import _bfs
-from systola.covers import _confirm_systole, _holonomy_scan, _mask_mixes_fibers
+from systola.covers import _check_witness, _holonomy_scan, _mask_mixes_fibers
 from systola.errors import CapacityError, CocycleError, ParameterError, UnknownVertexError
 
 from oracles import brute_cover_trivial_over, brute_homotopy_radius, \
@@ -69,6 +70,17 @@ def test_build_cover_refusals(fiber, on_other, ring, match):
     xi = sy.Cochain1(_cycle(5) if on_other else X, {(0, 1): 1}, ring)
     with pytest.raises(ParameterError, match=match):
         sy.build_cover(X, xi, fiber)
+
+
+def test_build_cover_refuses_a_non_integer_fiber():
+    X = _cycle(8)
+    xz = sy.Cochain1(X, {(0, 1): 1}, sy.RING_Z)
+    for bad in (2.5, 2.0, "3", True, None):
+        with pytest.raises(ParameterError, match="fiber size must be an integer at least 2"):
+            sy.build_cover(X, xz, bad)
+    cov = sy.build_cover(X, xz, np.int64(3))
+    assert cov.fiber == 3 and type(cov.fiber) is int
+    assert sy.cover_systole(cov) == 8
 
 
 @pytest.mark.parametrize("fiber", [10 ** 11, 10 ** 23])
@@ -216,6 +228,25 @@ def test_is_pi_inessential(rp2, rp2_class):
         sy.is_pi_inessential(cov, {99})
 
 
+@pytest.mark.parametrize("call", [
+    lambda X, xi, v: sy.is_pi_inessential(sy.build_cover(X, xi, 2), [0, v]),
+    lambda X, xi, v: sy.restriction_is_zero(xi, (u for u in (0, v))),
+    lambda X, xi, v: sy.is_inessential_graph(X, {0, v}),
+    lambda X, xi, v: sy.ball(X, v, 1),
+    lambda X, xi, v: sy.sphere(X, v, 1),
+    lambda X, xi, v: sy.ball_profile(X, v),
+    lambda X, xi, v: sy.edge_distance(X, v, 0),
+    lambda X, xi, v: sy.edge_distance(X, 0, v),
+], ids=["is_pi_inessential", "restriction_is_zero", "is_inessential_graph", "ball",
+        "sphere", "ball_profile", "edge_distance_from", "edge_distance_to"])
+def test_unknown_vertices_are_refused(call):
+    X = _cycle(6)
+    xi = _cycle_class(X)
+    for v in (99, "a", (0, 0)):
+        with pytest.raises(UnknownVertexError, match=re.escape(f"{v!r} is not a vertex")):
+            call(X, xi, v)
+
+
 def test_is_pi_inessential_agrees_with_brute_preimage(rp2, rp2_class, quotient23):
     rng = random.Random(17)
     Q, xi, _ = quotient23
@@ -235,28 +266,27 @@ def test_homotopy_radius_examples(rp2, rp2_class):
     assert sy.homotopy_triviality_radius(trivial) == sy.INFINITY
 
 
-def test_unsound_radius_witness_is_caught(rp2, rp2_class):
-    # The witness check confirms that B(centre, r + 1) is essential, so it
-    # catches a radius below the true one; set the cached radius one too low.
+def test_unsound_radius_witness_is_caught(monkeypatch, rp2, rp2_class):
+    # The scan's witness check asks whether B(centre, L // 2) mixes sheets;
+    # a check that says no must stop the scan before any number is returned.
+    monkeypatch.setattr(sy.covers, "_mask_mixes_fibers", lambda C, mask: False)
     X = _cycle(8)
     for cov in (sy.build_cover(rp2, rp2_class, 2), sy.build_cover(X, _cycle_class(X), 2)):
-        sy.cover_systole(cov)
-        systole, radius, centre = cov._scan
-        cov._scan = (systole, radius - 1, centre)
         with pytest.raises(ParameterError, match="unsound radius witness"):
-            sy.homotopy_triviality_radius(cov)
+            sy.cover_systole(cov)
+        assert cov._scan is None
 
 
 def test_unsound_systole_witness_is_caught(rp2, rp2_class):
-    # The confirmation accepts exactly the least nontrivial loop length at
-    # the centre: one shorter is beyond its limit, one longer is beaten.
+    # The check accepts exactly the least nontrivial loop length at the
+    # centre: one shorter is beyond its limit, one longer is beaten.
     X = _cycle(8)
     for cov in (sy.build_cover(rp2, rp2_class, 2), sy.build_cover(X, _cycle_class(X), 2)):
         systole, _, centre = _holonomy_scan(cov)
-        _confirm_systole(cov, centre, systole)
+        _check_witness(cov, centre, systole)
         for wrong in (systole - 1, systole + 1):
             with pytest.raises(ParameterError, match="unsound systole witness"):
-                _confirm_systole(cov, centre, wrong)
+                _check_witness(cov, centre, wrong)
 
 
 def test_homotopy_radius_agrees_with_brute_force(quotient23):
@@ -356,6 +386,56 @@ def test_systole_over_several_word_columns_agrees_with_total_space(case):
     L = _loop_oracle(cov)
     assert sy.cover_systole(cov) == L
     assert sy.homotopy_triviality_radius(cov) == (sy.INFINITY if L == sy.INFINITY else L // 2 - 1)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_wide_graph_cochains())
+def test_witness_ball_is_the_base_ball(case):
+    # the ball that _check_witness reads off its dijkstra distances is the
+    # plain BFS ball B(centre, L // 2) of the base
+    X, xi, fiber = case
+    cov = sy.build_cover(X, xi, fiber)
+    masks = []
+
+    def record(C, mask):
+        masks.append(mask.copy())
+        return _mask_mixes_fibers(C, mask)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sy.covers, "_mask_mixes_fibers", record)
+        L, _, centre = _holonomy_scan(cov)
+    if centre is None:
+        assert masks == []
+        return
+    near = _bfs(X, X.vertices[centre], cutoff=L // 2)
+    assert len(masks) == 1
+    assert masks[0].tolist() == [v in near for v in X.vertices]
+
+
+def test_grid_pass_checks_each_cover_once_without_the_base_bfs(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid path reached the base BFS")
+
+    calls = {}
+
+    def count(name):
+        real = getattr(sy.covers, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(sy.covers, name, wrapped)
+
+    monkeypatch.setattr(sy.SimplicialComplex, "adjacency", refuse)
+    monkeypatch.setattr(sy.complexes, "_bfs", refuse)
+    monkeypatch.setattr(sy.covers, "_bfs", refuse)
+    for name in ("_check_witness", "dijkstra", "connected_components"):
+        count(name)
+    report = sy.verify_grid(3, 5, seed=0)
+    assert [(r.n, r.s) for r in report.rows if not r.ok_all] == [(1, 4)]
+    # every grid cover is nontrivial: one witness check, one search of each kind
+    assert calls == dict.fromkeys(("_check_witness", "dijkstra", "connected_components"),
+                                  len(report.rows))
 
 
 def _nontrivial_cycle(vertices):

@@ -155,6 +155,17 @@ def test_cover_relative_essentiality_of_rp2(rp2, rp2_class):
     assert all(sy.is_pi_inessential(cover, b) for b in verdict.witness.blocks)
 
 
+@pytest.mark.parametrize("mode", ["exhaustive", "heuristic"])
+def test_cover_argument_is_checked_before_it_is_read(rp2, rp2_class, mode):
+    for bad in ("nope", 3, object()):
+        with pytest.raises(ParameterError, match="cover must be a Cover instance"):
+            sy.combinatorial_essentiality(rp2, 2, cover=bad, mode=mode)
+    five = sy.gen_polygon(5)
+    other = sy.build_cover(five, sy.Cochain1(five, {(0, 1): 1}), 2)
+    with pytest.raises(ParameterError, match="cover does not cover this complex"):
+        sy.combinatorial_essentiality(rp2, 2, cover=other, mode=mode)
+
+
 def test_cover_relative_search_makes_no_scipy_call(rp2, rp2_class, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("block tests must not call scipy")
