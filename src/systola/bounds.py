@@ -287,8 +287,16 @@ def _rational(value, name: str) -> Fraction:
     raise ParameterError(f"{name} must be a rational number, got {value!r}")
 
 
+def _rational_list(values, name: str) -> list[Fraction]:
+    """A list or tuple of rationals as Fractions; any other container, a
+    string included, is refused with ``ParameterError``."""
+    if not isinstance(values, (list, tuple)):
+        raise ParameterError(f"{name}s must be a list or tuple, got {values!r}")
+    return [_rational(x, name) for x in values]
+
+
 def _validate_lengths(L) -> list[Fraction]:
-    out = [_rational(x, "length") for x in L]
+    out = _rational_list(L, "length")
     if any(x < 0 for x in out):
         raise ParameterError("lengths must be nonnegative")
     if any(a > b for a, b in zip(out, out[1:])):
@@ -349,8 +357,7 @@ def volume_recursion_check(L, grid=()) -> bool:
     points = {Fraction(0)}
     points.update(rhs.breakpoints)
     points.update(lhs.breakpoints)
-    for g in grid:
-        g = _rational(g, "grid point")
+    for g in _rational_list(grid, "grid point"):
         if g < 0:
             raise ParameterError("grid points must be nonnegative")
         points.add(g)

@@ -6,13 +6,20 @@ complexes use ``(vertex, sheet)`` pairs.  Every face is kept as a strictly
 increasing tuple in the single global vertex order, and faces of
 intermediate dimension are derived lazily from the facets, so large
 complexes never pay for dimensions nobody asks about.
+
+The array view names vertex i of the sorted vertex tuple by its index i:
+``facet_rows`` holds the facets as sorted int64 rows, one array per facet
+width, and ``edge_keys`` the edges as sorted keys a·V + b with a < b.  Both
+are built on first read; ``quotient`` seeds them from its own arrays.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, groupby, permutations
+
+import numpy as np
 
 from .errors import DimensionError, MalformedFaceError, UnknownVertexError
 
@@ -107,6 +114,16 @@ class SimplicialComplex:
             self._vertex_index = {v: i for i, v in enumerate(self.vertices)}
         return self._vertex_index
 
+    def facet_rows(self) -> tuple:
+        """The facets as int64 rows of vertex indices, one array per facet
+        width in increasing width, each row sorted (cached)."""
+        return self.derived("facet_rows", _facet_rows)
+
+    def edge_keys(self) -> np.ndarray:
+        """The edges as sorted int64 keys a·V + b over vertex indices a < b,
+        V the vertex count (cached)."""
+        return self.derived("edge_keys", lambda X: pair_keys(X.facet_rows(), X.num_vertices))
+
     def derived(self, key, build):
         """``build(self)``, computed on the first call for ``key`` and cached."""
         if key not in self._derived:
@@ -146,6 +163,36 @@ def _bfs(X: SimplicialComplex, x, cutoff=None) -> dict:
                 dist[w] = dist[u] + 1
                 queue.append(w)
     return dist
+
+
+def _facet_rows(X: SimplicialComplex) -> tuple:
+    index = X.vertex_index()
+    out = []
+    for width, group in groupby(X.facets, key=len):  # facets are sorted by length
+        group = list(group)
+        flat = np.fromiter((index[v] for f in group for v in f), dtype=np.int64,
+                           count=width * len(group))
+        out.append(flat.reshape(-1, width))
+    return tuple(out)
+
+
+def run_starts(rows) -> np.ndarray:
+    """Mask of the entries (or rows) of a sorted array that differ from the
+    one before; np.unique hashes, and is slower than a sort and this mask."""
+    starts = np.ones(len(rows), dtype=bool)
+    change = rows[1:] != rows[:-1]
+    starts[1:] = change if change.ndim == 1 else change.any(axis=1)
+    return starts
+
+
+def pair_keys(groups, nv: int) -> np.ndarray:
+    """The distinct vertex pairs of sorted index rows as sorted int64 keys
+    a·nv + b (a < b), over every array of rows in ``groups``."""
+    keys = np.sort(np.concatenate(
+        [R[:, i].astype(np.int64) * nv + R[:, j]
+         for R in groups for i, j in combinations(range(R.shape[1]), 2)]
+        or [np.empty(0, dtype=np.int64)]))
+    return keys[run_starts(keys)]
 
 
 def build_complex(facets) -> SimplicialComplex:

@@ -3,7 +3,10 @@
 A cocycle with values in Z2 (or the integers, reduced mod N) prescribes
 sheet transitions along edges; the cocycle condition makes every face
 lift consistently, so the total space is again a simplicial complex with
-vertices ``(v, sheet)``, built on first read.
+vertices ``(v, sheet)``, built on first read.  ``build_cover`` checks that
+condition on the base's facet rows, and the total graph takes its edges
+from the base's edge keys and their sheet changes from the cocycle's keyed
+support (``Cochain1.at_keys``), so neither reads the cocycle edge by edge.
 
 BFS utilities (:func:`edge_distance`, :func:`ball`, :func:`sphere`) are
 plain Python.  A closed base walk at x with holonomy g lifts to a path of
@@ -115,25 +118,28 @@ class Cover:
     def _total_graph(self):
         """The total space's 1-skeleton as a cached symmetric CSR matrix.
 
-        ``(v, sheet)`` is row ``v·F + sheet``, with v the base vertex index;
-        each edge is stored in both directions, so a row lists all of its
-        vertex's neighbours.  Refused with ``CapacityError`` before any
-        array is built when it would be larger than ``MAX_TOTAL_GRAPH``.
+        Built from the base's edge keys a·V + b and the cocycle's values on
+        them mod F.  ``(v, sheet)`` is row ``v·F + sheet``, with v the base
+        vertex index; each edge is stored in both directions, so a row lists
+        all of its vertex's neighbours.  Refused with ``CapacityError``
+        before any array is built when it would be larger than
+        ``MAX_TOTAL_GRAPH``.
         """
         if self._graph is None:
             F = self.fiber
-            size = (self.base.num_vertices + len(self.base.faces(1))) * F
+            nv = self.base.num_vertices
+            keys = self.base.edge_keys()
+            size = (nv + len(keys)) * F
             if size > MAX_TOTAL_GRAPH:
                 raise CapacityError(
                     f"the total graph of a {F}-fold cover would have {size:,} vertices "
                     f"and edges, above the cap of {MAX_TOTAL_GRAPH:,}")
-            vidx = self.base.vertex_index()
-            edges = np.array([(vidx[u], vidx[v], self.cocycle.value(u, v) % F)
-                              for u, v in self.base.faces(1)], dtype=np.int64).reshape(-1, 3)
+            u, v = np.divmod(keys, nv)
+            shift = (self.cocycle.at_keys(keys) % F).astype(np.int64)
             sheets = np.arange(F)
-            rows = (edges[:, :1] * F + sheets).ravel()
-            cols = (edges[:, 1:2] * F + (sheets + edges[:, 2:]) % F).ravel()
-            n = self.base.num_vertices * F
+            rows = (u[:, None] * F + sheets).ravel()
+            cols = (v[:, None] * F + (sheets + shift[:, None]) % F).ravel()
+            n = nv * F
             self._graph = sparse.csr_matrix(
                 (np.ones(2 * len(rows), dtype=np.int8),
                  (np.concatenate([rows, cols]), np.concatenate([cols, rows]))), shape=(n, n))

@@ -23,7 +23,14 @@ systole exactly s.  Its vertex i is the i-th positive-label vertex with
 its antipode, and a negative label marks sheet 1.  ``quotient`` works on
 the arrays; a hand-built sphere is converted to them once.  It checks the
 sphere's edges as packed pair keys and reads the sheet-transition cocycle,
-which reconstructs the sphere as the quotient's double cover.
+which reconstructs the sphere as the quotient's double cover.  The
+quotient's vertices are 0..nq-1, so its facet rows and edge keys are
+already the index views of ``SimplicialComplex``; ``quotient`` seeds them,
+and the cover build reads no facet tuple.
+
+The fixture sizes (``gen_polygon``, ``gen_complete_graph``) must be
+integers, as the sphere parameters must; bools, floats and strings are
+refused with ``ParameterError``.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from itertools import combinations
 import numpy as np
 
 from .cochains import RING_Z2, Cochain1
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, pair_keys, run_starts
 from .errors import CapacityError, ParameterError, QuotientError, require_int
 
 MAX_QUOTIENT_FACETS = 10 ** 6
@@ -177,15 +184,6 @@ def _sphere_arrays(sc: SymmetricComplex):
     return X.vertices, groups, tau, lab
 
 
-def _run_starts(rows) -> np.ndarray:
-    """Mask of the entries (or rows) of a sorted array that differ from the
-    one before; np.unique hashes, and is slower than a sort and this mask."""
-    starts = np.ones(len(rows), dtype=bool)
-    change = rows[1:] != rows[:-1]
-    starts[1:] = change if change.ndim == 1 else change.any(axis=1)
-    return starts
-
-
 def _first(mask) -> int:
     """Index of the first True in mask, or len(mask) when there is none."""
     hits = np.flatnonzero(mask)
@@ -220,12 +218,7 @@ def quotient(sc: SymmetricComplex):
     qid[positive] = qid[tau[positive]] = np.arange(nq, dtype=np.int32)
     del t, not_free, positive
 
-    # sphere edges as sorted keys u*nv + v (u < v, since facet rows are sorted)
-    edges = np.sort(np.concatenate(
-        [F[:, i].astype(np.int64) * nv + F[:, j]
-         for F in groups for i, j in combinations(range(F.shape[1]), 2)]
-        or [np.empty(0, dtype=np.int64)]))
-    edges = edges[_run_starts(edges)]
+    edges = pair_keys(groups, nv)  # sphere edges, u*nv + v with u < v
     u, v = (edges // nv).astype(np.int32), (edges % nv).astype(np.int32)
     tu, tv = tau[u], tau[v]
     i = _first(tu == v)
@@ -246,7 +239,7 @@ def quotient(sc: SymmetricComplex):
     del a, b, u, v
     lifts.sort()
     qkey, flip = lifts >> 1, (lifts & 1).astype(bool)
-    first = _run_starts(qkey)
+    first = run_starts(qkey)
     i = _first(~first[1:] & (flip[1:] != flip[:-1]))
     if i < len(qkey) - 1:
         e = divmod(int(qkey[i]), nq)
@@ -258,14 +251,18 @@ def quotient(sc: SymmetricComplex):
     for F in groups:
         R = np.sort(qid[F], axis=1)
         R = R[np.lexsort(R.T[::-1])]
-        starts = np.flatnonzero(_run_starts(R))
+        starts = np.flatnonzero(run_starts(R))
         conflicts += int((np.diff(np.append(starts, len(R))) != 2).sum())
         rows.append(R[starts])
     if conflicts:
         raise QuotientError(f"identification conflict on {conflicts} facets")
     Q = SimplicialComplex([f for R in rows for f in _as_tuples(R, nq)])
     qedges = _as_tuples(np.column_stack([qkey // nq, qkey % nq]), nq)
-    Q._faces[1] = frozenset(qedges)  # Q's edges are the sphere's edges' images
+    # Q's edges are the sphere's edges' images, and its vertices are 0..nq-1,
+    # so each row of quotient ids is already a row of vertex indices
+    Q._faces[1] = frozenset(qedges)
+    Q._derived["facet_rows"] = tuple(R.astype(np.int64) for R in rows)
+    Q._derived["edge_keys"] = qkey
     odd = [e for e, f in zip(qedges, flip.tolist()) if f]
     return Q, Cochain1(Q, dict.fromkeys(odd, 1), RING_Z2)
 
@@ -293,12 +290,16 @@ _NAME_RE = re.compile(r"^(complete|polygon)-(\d+)$")
 
 
 def gen_complete_graph(k: int) -> SimplicialComplex:
+    """The complete graph on vertices 1..k; k must be an integer, at least 2."""
+    k = require_int(k, "vertex count")
     if k < 2:
         raise ParameterError("complete graph needs at least 2 vertices")
     return SimplicialComplex(combinations(range(1, k + 1), 2))
 
 
 def gen_polygon(m: int) -> SimplicialComplex:
+    """The m-cycle on vertices 0..m-1; m must be an integer, at least 3."""
+    m = require_int(m, "vertex count")
     if m < 3:
         raise ParameterError("polygon needs at least 3 vertices")
     return SimplicialComplex(tuple(sorted((i, (i + 1) % m))) for i in range(m))

@@ -54,6 +54,16 @@ def cycle_holonomy(cochain, cycle, modulus=2):
     return total % modulus
 
 
+def brute_is_cocycle(cochain):
+    """Oracle: the coboundary of a 1-cochain, summed with ``value`` over
+    every triangle of ``faces(2)``, vanishes (mod 2 over Z2)."""
+    for a, b, d in cochain.complex.faces(2):
+        delta = cochain.value(a, b) + cochain.value(b, d) - cochain.value(a, d)
+        if delta % 2 if cochain.ring == sy.RING_Z2 else delta:
+            return False
+    return True
+
+
 def brute_restriction_is_zero(cochain, W):
     """Oracle: a cocycle restricts to a coboundary iff every simple cycle
     inside the induced subcomplex evaluates to zero."""

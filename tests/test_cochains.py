@@ -11,8 +11,8 @@ import systola as sy
 from systola.cochains import coboundary, vertex_coboundary
 from systola.errors import CocycleError, DimensionError, DomainError, ParameterError
 
-from oracles import (brute_class_is_nonzero, brute_restriction_is_zero, parity_class_is_nonzero,
-                     reference_h1_basis)
+from oracles import (brute_class_is_nonzero, brute_is_cocycle, brute_restriction_is_zero,
+                     parity_class_is_nonzero, reference_h1_basis)
 
 
 def _random_cochain(X, rng, ring=sy.RING_Z2):
@@ -33,6 +33,60 @@ def test_any_assignment_on_cycle_is_cocycle():
 def test_single_edge_on_full_simplex_is_not_cocycle():
     X = sy.build_complex([[1, 2, 3]])
     assert not sy.is_cocycle(sy.Cochain1(X, {(1, 2): 1}))
+
+
+def _random_cochain_case(rng):
+    """A complex of random faces of up to five vertices (so mixed facet
+    widths), labelled by ints or by tuples whose order differs from the
+    ints', and a vertex coboundary on it over Z2 or Z, with values that may
+    be negative or beyond int64, then changed on up to two edges."""
+    count = rng.randint(3, 8)
+    facets = [rng.sample(range(count), rng.randint(1, min(5, count)))
+              for _ in range(rng.randint(1, 8))]
+    if rng.random() < 0.3:
+        facets = [[(v % 3, v) for v in f] for f in facets]
+    X = sy.build_complex(facets)
+    ring = rng.choice([sy.RING_Z2, sy.RING_Z])
+    scale = rng.choice([1, 1, 2 ** 61, 2 ** 70])
+    g = {v: rng.randint(-3, 3) * scale for v in X.vertices}
+    values = dict(vertex_coboundary(X, g, ring).values)
+    edges = sorted(X.faces(1))
+    step = 1 if ring == sy.RING_Z2 else scale
+    for _ in range(rng.choice([0, 1, 2]) if edges else 0):
+        e = rng.choice(edges)
+        values[e] = values.get(e, 0) + rng.choice([-2, -1, 1, 2]) * step
+    return sy.Cochain1(X, values, ring)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 31))
+def test_is_cocycle_agrees_with_the_triangle_loop(seed):
+    c = _random_cochain_case(random.Random(seed))
+    assert sy.is_cocycle(c) == brute_is_cocycle(c)
+
+
+@pytest.mark.parametrize("values, oracle", [
+    ({(1, 2): 2 ** 62, (2, 3): 2 ** 62, (1, 3): -2 ** 63}, False),  # wraps to 0 in int64
+    ({(1, 2): 2 ** 70}, False),  # beyond int64
+    ({(1, 2): 2 ** 70, (2, 3): -1, (1, 3): 2 ** 70 - 1}, True),
+    ({(1, 2): 2 ** 61 - 1, (2, 3): 2 ** 61 - 1, (1, 3): 2 ** 62 - 2}, True),
+])
+def test_integer_cocycle_check_is_exact(values, oracle):
+    c = sy.Cochain1(sy.build_complex([(1, 2, 3)]), values, sy.RING_Z)
+    assert brute_is_cocycle(c) is oracle
+    assert sy.is_cocycle(c) is oracle
+
+
+@pytest.mark.parametrize("n, s", [(n, s) for n in range(2, 5) for s in range(3, 9)])
+def test_one_edge_change_breaks_every_grid_cocycle(n, s):
+    # for n >= 2 every edge of the quotient lies in a triangle
+    Q, xi = sy.quotient(sy.gen_symmetric_sphere(n, s))
+    assert sy.is_cocycle(xi)
+    edges = sorted(Q.faces(1))
+    for e in {edges[0], edges[-1], *random.Random(10 * n + s).sample(edges, 3)}:
+        values = dict(xi.values)
+        values[e] = 1 - values.get(e, 0)
+        assert not sy.is_cocycle(sy.Cochain1(Q, values))
 
 
 def test_value_on_non_edge_rejected():

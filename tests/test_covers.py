@@ -438,6 +438,28 @@ def test_grid_pass_checks_each_cover_once_without_the_base_bfs(monkeypatch):
                                   len(report.rows))
 
 
+@pytest.mark.parametrize("n, s", [(2, 5), (3, 6), (4, 3), (4, 4), (4, 5), (4, 6)])
+def test_grid_covers_read_the_cocycle_as_arrays(monkeypatch, n, s):
+    def refuse(*args):
+        raise AssertionError("the grid path called Cochain1.value")
+
+    quotients = []
+
+    def quotient(sphere):
+        quotients.append(sy.quotient(sphere))
+        return quotients[-1]
+
+    monkeypatch.setattr(sy.Cochain1, "value", refuse)
+    if n == 4:  # the whole cell, since n = 4 takes no cup product
+        monkeypatch.setattr(sy.verify, "quotient", quotient)
+        assert sy.measure_cell(n, s).ok_all
+        (Q, _), = quotients
+    else:
+        Q, xi = sy.quotient(sy.gen_symmetric_sphere(n, s))
+        assert sy.cover_systole(sy.build_cover(Q, xi, 2)) == s
+    assert 2 not in Q._faces
+
+
 def _nontrivial_cycle(vertices):
     edges = [tuple(sorted(e)) for e in zip(vertices, vertices[1:] + vertices[:1])]
     return edges, {edges[0]: 1}

@@ -1,5 +1,6 @@
 import hashlib
 
+import numpy as np
 import pytest
 
 import systola as sy
@@ -229,6 +230,26 @@ def test_hand_built_sphere_quotients_like_the_generated_one(n, s):
         Qh, xih = sy.quotient(hand)
         assert Qh == Q and Qh.vertices == Q.vertices
         assert xih.values == xi.values and sy.dumps_cochain(xih) == sy.dumps_cochain(xi)
+        _assert_seeded_views(Qh)
+
+
+def _assert_seeded_views(Q):
+    """The index rows and edge keys that ``quotient`` seeds are the ones Q
+    would derive from its facet tuples."""
+    assert {"facet_rows", "edge_keys"} <= Q._derived.keys()
+    fresh = SimplicialComplex(Q.facets)
+    seeded, derived = Q.facet_rows(), fresh.facet_rows()
+    assert len(seeded) == len(derived)
+    for a, b in zip(seeded, derived):
+        assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
+    assert Q.edge_keys().dtype == fresh.edge_keys().dtype == np.int64
+    assert np.array_equal(Q.edge_keys(), fresh.edge_keys())
+
+
+@pytest.mark.parametrize("n, s", [(n, s) for n in range(1, 5) for s in range(3, 7)])
+def test_quotient_seeds_the_index_views_it_would_derive(n, s):
+    Q, _ = sy.quotient(sy.gen_symmetric_sphere(n, s))
+    _assert_seeded_views(Q)
 
 
 def _antipodal(facets, pairs):

@@ -68,6 +68,35 @@ CASES = {
          "complete graph needs at least 2 vertices"),
     "two_gon":
         (lambda: sy.gen_polygon(2), ParameterError, "polygon needs at least 3 vertices"),
+    "polygon_of_float_size":
+        (lambda: sy.gen_polygon(3.0), ParameterError, "vertex count must be an integer, got 3.0"),
+    "polygon_of_bool_size":
+        (lambda: sy.gen_polygon(True), ParameterError, "vertex count must be an integer, got True"),
+    "polygon_of_string_size":
+        (lambda: sy.gen_polygon("4"), ParameterError, "vertex count must be an integer, got '4'"),
+    "complete_graph_of_float_size":
+        (lambda: sy.gen_complete_graph(3.0), ParameterError,
+         "vertex count must be an integer, got 3.0"),
+    "complete_graph_of_bool_size":
+        (lambda: sy.gen_complete_graph(True), ParameterError,
+         "vertex count must be an integer, got True"),
+    "complete_graph_of_string_size":
+        (lambda: sy.gen_complete_graph("3"), ParameterError,
+         "vertex count must be an integer, got '3'"),
+    "profile_of_a_string":
+        (lambda: sy.volume_profile("12"), ParameterError,
+         "lengths must be a list or tuple, got '12'"),
+    "profile_of_an_int":
+        (lambda: sy.volume_profile(5), ParameterError, "lengths must be a list or tuple, got 5"),
+    "recursion_of_a_string":
+        (lambda: sy.volume_recursion_check("12"), ParameterError,
+         "lengths must be a list or tuple, got '12'"),
+    "recursion_grid_of_a_string":
+        (lambda: sy.volume_recursion_check([1, 2], "12"), ParameterError,
+         "grid points must be a list or tuple, got '12'"),
+    "recursion_grid_of_an_int":
+        (lambda: sy.volume_recursion_check([1, 2], 3), ParameterError,
+         "grid points must be a list or tuple, got 3"),
 }
 
 
