@@ -9,8 +9,11 @@ complexes never pay for dimensions nobody asks about.
 
 The array view names vertex i of the sorted vertex tuple by its index i:
 ``facet_rows`` holds the facets as sorted int64 rows, one array per facet
-width, and ``edge_keys`` the edges as sorted keys a·V + b with a < b.  Both
-are built on first read; ``quotient`` seeds them from its own arrays.
+width, and ``edge_keys`` the edges as sorted keys a·V + b with a < b, of
+which ``faces(1)`` is the label-pair view.  Every view is built on first
+read and kept in the one ``derived`` cache.  A complex on vertices 0..V-1
+can be built from its facet rows (``_from_index_rows``); its facet tuples
+are then built only when they are read.
 """
 
 from __future__ import annotations
@@ -44,18 +47,33 @@ class SimplicialComplex:
     assumes canonical, pairwise non-nested facets.
     """
 
-    __slots__ = ("facets", "vertices", "_faces", "_adjacency", "_vertex_index", "_derived")
+    __slots__ = ("vertices", "_derived")
 
     def __init__(self, facets):
         # sorted by (length, face): a stable sort by length of the sorted faces
-        self.facets = tuple(sorted(sorted(facets), key=len))
-        self.vertices = tuple(sorted(set().union(*self.facets)))
-        self._faces = {}
-        self._adjacency = None
-        self._vertex_index = None
-        self._derived = {}
+        facets = tuple(sorted(sorted(facets), key=len))
+        self.vertices = tuple(sorted(set().union(*facets)))
+        self._derived = {"facets": facets}
+
+    @classmethod
+    def _from_index_rows(cls, rows, num_vertices: int, edge_keys=None):
+        """The complex on vertices 0..num_vertices-1, each on some facet, whose
+        non-nested facets are the sorted rows of ``rows``, one array per width
+        in increasing width, rows in any order.  ``edge_keys``, if given, must
+        be what ``edge_keys()`` would derive."""
+        X = cls.__new__(cls)
+        X.vertices = tuple(range(num_vertices))
+        X._derived = {"facet_rows": tuple(np.asarray(R, dtype=np.int64) for R in rows)}
+        if edge_keys is not None:
+            X._derived["edge_keys"] = edge_keys
+        return X
 
     # -- basic queries -------------------------------------------------
+
+    @property
+    def facets(self) -> tuple:
+        """The facets as sorted tuples, ordered by (length, face)."""
+        return self.derived("facets", _row_facets)
 
     @property
     def dim(self) -> int:
@@ -66,16 +84,11 @@ class SimplicialComplex:
         return len(self.vertices)
 
     def faces(self, k: int) -> frozenset:
-        """All k-dimensional faces, derived from the facets (cached)."""
+        """All k-dimensional faces (cached): the edges from ``edge_keys``,
+        the other dimensions from the facets."""
         if k < 0:
             return frozenset()
-        if k not in self._faces:
-            acc = set()
-            for f in self.facets:
-                if len(f) >= k + 1:
-                    acc.update(combinations(f, k + 1))
-            self._faces[k] = frozenset(acc)
-        return self._faces[k]
+        return self.derived(("faces", k), lambda X: _faces(X, k))
 
     def has_vertex(self, v) -> bool:
         return v in self.vertex_index()
@@ -85,14 +98,8 @@ class SimplicialComplex:
         return face in self.faces(len(face) - 1)
 
     def adjacency(self) -> dict:
-        """Vertex -> sorted tuple of neighbours in the 1-skeleton."""
-        if self._adjacency is None:
-            nbr = {v: set() for v in self.vertices}
-            for u, v in self.faces(1):
-                nbr[u].add(v)
-                nbr[v].add(u)
-            self._adjacency = {v: tuple(sorted(s)) for v, s in nbr.items()}
-        return self._adjacency
+        """Vertex -> sorted tuple of neighbours in the 1-skeleton (cached)."""
+        return self.derived("adjacency", _adjacency)
 
     def components(self) -> list:
         """Connected components of the 1-skeleton as frozensets of vertices."""
@@ -110,13 +117,12 @@ class SimplicialComplex:
 
     def vertex_index(self) -> dict:
         """Label -> position in the sorted vertex tuple (cached)."""
-        if self._vertex_index is None:
-            self._vertex_index = {v: i for i, v in enumerate(self.vertices)}
-        return self._vertex_index
+        return self.derived("vertex_index", lambda X: {v: i for i, v in enumerate(X.vertices)})
 
     def facet_rows(self) -> tuple:
         """The facets as int64 rows of vertex indices, one array per facet
-        width in increasing width, each row sorted (cached)."""
+        width in increasing width, each row sorted (cached).  The rows come
+        in facet order, or in the order given to the row constructor."""
         return self.derived("facet_rows", _facet_rows)
 
     def edge_keys(self) -> np.ndarray:
@@ -125,7 +131,8 @@ class SimplicialComplex:
         return self.derived("edge_keys", lambda X: pair_keys(X.facet_rows(), X.num_vertices))
 
     def derived(self, key, build):
-        """``build(self)``, computed on the first call for ``key`` and cached."""
+        """``build(self)``, computed on the first call for ``key`` and cached;
+        the one cache of every view of the complex."""
         if key not in self._derived:
             self._derived[key] = build(self)
         return self._derived[key]
@@ -165,6 +172,38 @@ def _bfs(X: SimplicialComplex, x, cutoff=None) -> dict:
     return dist
 
 
+def _as_tuples(rows: np.ndarray, names) -> list:
+    """The index rows as tuples of the labels ``names[i]``: one shared
+    object per label, tuple labels such as ``(v, sheet)`` included."""
+    labels = np.fromiter(names, dtype=object, count=len(names))
+    return list(zip(*labels[rows.T]))
+
+
+def _row_facets(X: SimplicialComplex) -> tuple:
+    # the vertices are sorted, so sorted index rows give sorted label tuples
+    return tuple(f for R in X.facet_rows()
+                 for f in _as_tuples(R[np.lexsort(R.T[::-1])], X.vertices))
+
+
+def _faces(X: SimplicialComplex, k: int) -> frozenset:
+    if k == 1:
+        keys = X.edge_keys()
+        return frozenset(_as_tuples(np.column_stack(np.divmod(keys, X.num_vertices)),
+                                    X.vertices))
+    acc = set()
+    for f in X.facets:
+        acc.update(combinations(f, k + 1))
+    return frozenset(acc)
+
+
+def _adjacency(X: SimplicialComplex) -> dict:
+    nbr = {v: set() for v in X.vertices}
+    for u, v in X.faces(1):
+        nbr[u].add(v)
+        nbr[v].add(u)
+    return {v: tuple(sorted(s)) for v, s in nbr.items()}
+
+
 def _facet_rows(X: SimplicialComplex) -> tuple:
     index = X.vertex_index()
     out = []
@@ -199,14 +238,19 @@ def build_complex(facets) -> SimplicialComplex:
     """Validate and build a complex from an arbitrary list of faces.
 
     Duplicates are removed and non-maximal input faces are absorbed
-    silently; faces must not repeat a vertex.
+    silently; faces must not repeat a vertex or mix labels that cannot be
+    ordered, and must be iterable, as must the list.
     """
+    try:
+        return SimplicialComplex(_maximal_faces(facets))
+    except TypeError as exc:
+        raise MalformedFaceError(f"malformed face list: {exc}") from None
+
+
+def _maximal_faces(facets):
     canon = {canonical_face(f) for f in facets}
-    if not canon:
-        return SimplicialComplex(())
-    lengths = {len(f) for f in canon}
-    if len(lengths) == 1:
-        return SimplicialComplex(canon)
+    if len({len(f) for f in canon}) <= 1:
+        return canon
     kept = []
     kept_sets = []
     byv = {}
@@ -220,7 +264,7 @@ def build_complex(facets) -> SimplicialComplex:
         kept_sets.append(fs)
         for v in f:
             byv.setdefault(v, []).append(idx)
-    return SimplicialComplex(kept)
+    return kept
 
 
 class InducedSubcomplex:

@@ -68,12 +68,16 @@ class EssentialityVerdict:
     essential: bool | None
     witness: VertexPartition | None
     method: str
-    exhaustive_complete: bool
     block_tests: int = 0
 
     def __post_init__(self):
         if (self.witness is not None) != (self.essential is False):
             raise ParameterError("witness must be present iff essential is False")
+
+    @property
+    def exhaustive_complete(self) -> bool:
+        """Whether the search ran to completion: exactly the exhaustive ones do."""
+        return self.method == "exhaustive"
 
     @property
     def status(self) -> str:
@@ -234,11 +238,10 @@ def combinatorial_essentiality(X: SimplicialComplex, n: int,
         found = _heuristic(m, n, passes, rng, deadline, max_rounds=10_000)
     else:
         raise ParameterError(f"unknown mode {mode!r}")
-    complete = mode == "exhaustive"
     if found is None:
-        return EssentialityVerdict(True if complete else None, None, mode, complete,
+        return EssentialityVerdict(True if mode == "exhaustive" else None, None, mode,
                                    len(verdicts))
     witness = VertexPartition(tuple(members(mask) for mask in found))
     if not all(test(b) for b in witness.blocks):
         raise ParameterError("internal error: unsound witness")
-    return EssentialityVerdict(False, witness, mode, complete, len(verdicts))
+    return EssentialityVerdict(False, witness, mode, len(verdicts))

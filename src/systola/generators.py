@@ -14,19 +14,20 @@ row each), the involution ``tau[v]`` and the signed labels ``lab[v]``.
 Each suspension step writes the staircase cells of every layer pair as
 array slices and takes the involution and labels in closed form: copy v
 in layer l maps to copy tau[v] in the mirror layer s - l, the poles swap,
-and v is positive iff v < tau[v], numbered in vertex order.  The
-``complex``, ``involution`` and ``labels`` of a ``SymmetricComplex`` are
-built from the arrays on first read, with plain ``int`` vertices.
+and v is positive iff v < tau[v], numbered in vertex order.  The sphere's
+complex is built from the facet rows, and its involution and labels are
+dicts of plain ``int``s.
 
 The antipodal quotient is a projective-space triangulation with edge
 systole exactly s.  Its vertex i is the i-th positive-label vertex with
-its antipode, and a negative label marks sheet 1.  ``quotient`` works on
-the arrays; a hand-built sphere is converted to them once.  It checks the
-sphere's edges as packed pair keys and reads the sheet-transition cocycle,
-which reconstructs the sphere as the quotient's double cover.  The
-quotient's vertices are 0..nq-1, so its facet rows and edge keys are
-already the index views of ``SimplicialComplex``; ``quotient`` seeds them,
-and the cover build reads no facet tuple.
+its antipode, and a negative label marks sheet 1.  ``quotient`` reads any
+sphere, generated or hand-built, as the same arrays: the complex's facet
+rows, and the involution and labels through its vertex index.  It checks
+the sphere's edges as packed pair keys and reads the sheet-transition
+cocycle, which reconstructs the sphere as the quotient's double cover.
+The quotient's vertices are 0..nq-1, so it is built from its facet rows
+and the edge keys of the lift check, and the cover build reads no facet
+tuple.
 
 The fixture sizes (``gen_polygon``, ``gen_complete_graph``) must be
 integers, as the sphere parameters must; bools, floats and strings are
@@ -36,65 +37,29 @@ refused with ``ParameterError``.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from .cochains import RING_Z2, Cochain1
-from .complexes import SimplicialComplex, pair_keys, run_starts
+from .complexes import SimplicialComplex, _as_tuples, pair_keys, run_starts
 from .errors import CapacityError, ParameterError, QuotientError, require_int
 
 MAX_QUOTIENT_FACETS = 10 ** 6
 
 
+@dataclass(frozen=True)
 class SymmetricComplex:
     """A complex with a free simplicial involution and signed labels.
 
     Antipodal vertices carry labels of equal absolute value and opposite
-    sign, so ordering by label is reversed by the involution.  A generated
-    sphere keeps its facet, involution and label arrays and builds the
-    three public views from them only when they are first read.
+    sign, so ordering by label is reversed by the involution.
     """
 
-    __slots__ = ("_complex", "_involution", "_labels", "_arrays")
-
-    def __init__(self, complex: SimplicialComplex, involution: dict, labels: dict):
-        self._complex = complex
-        self._involution = involution
-        self._labels = labels
-        self._arrays = None
-
-    @classmethod
-    def _from_arrays(cls, facets, tau, lab) -> "SymmetricComplex":
-        sc = cls(None, None, None)
-        sc._arrays = facets, tau, lab
-        return sc
-
-    @property
-    def complex(self) -> SimplicialComplex:
-        if self._complex is None:
-            facets, tau, _ = self._arrays
-            self._complex = SimplicialComplex(_as_tuples(facets, len(tau)))
-        return self._complex
-
-    @property
-    def involution(self) -> dict:
-        if self._involution is None:
-            self._involution = dict(enumerate(self._arrays[1].tolist()))
-        return self._involution
-
-    @property
-    def labels(self) -> dict:
-        if self._labels is None:
-            self._labels = dict(enumerate(self._arrays[2].tolist()))
-        return self._labels
-
-
-def _as_tuples(rows: np.ndarray, count: int) -> list:
-    """The rows as tuples of Python ints, one shared int object per id below
-    ``count``, so that equal vertices in different tuples are one object."""
-    ids = np.arange(count).astype(object)
-    return list(zip(*ids[rows.T]))
+    complex: SimplicialComplex
+    involution: dict
+    labels: dict
 
 
 def _polygon_sphere(s: int):
@@ -158,30 +123,35 @@ def gen_symmetric_sphere(n: int, s: int) -> SymmetricComplex:
         raise CapacityError(
             f"the ({n}, {s}) quotient would have {facets:,} facets, above the "
             f"cap of {MAX_QUOTIENT_FACETS:,}")
-    arrays = _polygon_sphere(s)
+    facets, tau, lab = _polygon_sphere(s)
     for _ in range(n - 1):
-        arrays = _add_layers(*arrays, s)
-    return SymmetricComplex._from_arrays(*arrays)
+        facets, tau, lab = _add_layers(facets, tau, lab, s)
+    return SymmetricComplex(SimplicialComplex._from_index_rows([facets], len(tau)),
+                            dict(enumerate(tau.tolist())), dict(enumerate(lab.tolist())))
 
 
 def _sphere_arrays(sc: SymmetricComplex):
-    """``(names, facet arrays by width, tau, lab)`` over vertex indices.
+    """``(names, facet rows by width, tau, lab)`` over vertex indices.
 
-    ``names[i]`` is the vertex with index i, and each facet row is sorted.
-    A hand-built sphere is indexed through ``complex.vertex_index()``; an
-    involution value that is no vertex of the complex becomes -1.
+    ``names[i]`` is the vertex with index i.  An involution value that is
+    no vertex of the complex becomes -1, and a missing label 0.
     """
-    if sc._arrays is not None:
-        facets, tau, lab = sc._arrays
-        return range(len(tau)), [facets], tau, lab
     X, involution, labels = sc.complex, sc.involution, sc.labels
+    if not isinstance(X, SimplicialComplex):
+        raise ParameterError(f"the complex must be a SimplicialComplex, got {type(X).__name__}")
+    for name, view in (("involution", involution), ("labels", labels)):
+        if not isinstance(view, dict):
+            raise ParameterError(f"the {name} must be a dict, got {type(view).__name__}")
     index = X.vertex_index()
-    tau = np.array([index.get(involution.get(v), -1) for v in X.vertices], dtype=np.int32)
-    lab = np.array([labels.get(v) or 0 for v in X.vertices])
-    widths = sorted({len(f) for f in X.facets})
-    groups = [np.sort(np.array([[index[v] for v in f] for f in X.facets if len(f) == k],
-                               dtype=np.int32).reshape(-1, k), axis=1) for k in widths]
-    return X.vertices, groups, tau, lab
+    try:
+        tau = np.array([index.get(involution.get(v), -1) for v in X.vertices], dtype=np.int32)
+    except TypeError:  # an unhashable image, so no vertex
+        tau = np.full(X.num_vertices, -1, dtype=np.int32)
+    lab = [labels.get(v, 0) for v in X.vertices]
+    for v, x in zip(X.vertices, lab):
+        if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+            raise QuotientError(f"label of vertex {v!r} must be an integer, got {x!r}")
+    return X.vertices, X.facet_rows(), tau, np.array(lab)
 
 
 def _first(mask) -> int:
@@ -194,7 +164,9 @@ def quotient(sc: SymmetricComplex):
     """Antipodal quotient plus the classifying sheet-transition cocycle.
 
     Returns ``(Q, xi)`` where the double cover of Q built from xi is
-    isomorphic to the original sphere.  Raises QuotientError unless the
+    isomorphic to the original sphere.  Raises ParameterError unless the
+    complex is a SimplicialComplex and the involution and labels are dicts,
+    and QuotientError unless the labels are integers (bools refused), the
     involution is free of order 2 and negates nonzero labels, no edge joins
     antipodes, edges map to edges, both lifts of a quotient edge change
     sheet alike, and every quotient facet has exactly two preimages.
@@ -256,14 +228,9 @@ def quotient(sc: SymmetricComplex):
         rows.append(R[starts])
     if conflicts:
         raise QuotientError(f"identification conflict on {conflicts} facets")
-    Q = SimplicialComplex([f for R in rows for f in _as_tuples(R, nq)])
-    qedges = _as_tuples(np.column_stack([qkey // nq, qkey % nq]), nq)
-    # Q's edges are the sphere's edges' images, and its vertices are 0..nq-1,
-    # so each row of quotient ids is already a row of vertex indices
-    Q._faces[1] = frozenset(qedges)
-    Q._derived["facet_rows"] = tuple(R.astype(np.int64) for R in rows)
-    Q._derived["edge_keys"] = qkey
-    odd = [e for e, f in zip(qedges, flip.tolist()) if f]
+    # Q's edges are the sphere's edges' images, and its vertices are 0..nq-1
+    Q = SimplicialComplex._from_index_rows(rows, nq, edge_keys=qkey)
+    odd = _as_tuples(np.column_stack(np.divmod(qkey[flip], nq)), Q.vertices)
     return Q, Cochain1(Q, dict.fromkeys(odd, 1), RING_Z2)
 
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import systola as sy
@@ -149,3 +150,18 @@ def test_tuple_vertex_labels_are_supported():
     assert X.has_face(((1, 0), (2, 0)))
     assert not X.has_face(((1, 0), (1, 1)))
     assert X.has_vertex((1, 1)) and not X.has_vertex(1)
+    # the edges are the label pairs of the edge keys, tuple labels included
+    assert X.faces(1) == {((1, 0), (2, 0)), ((1, 1), (2, 0))}
+
+
+def test_row_built_complex_takes_rows_in_any_order():
+    tuples = sy.build_complex([(0, 1, 2), (0, 2, 3), (1, 2, 4), (3, 5), (4, 5)])
+    rows = [np.array([[4, 5], [3, 5]], dtype=np.int32),
+            np.array([[1, 2, 4], [0, 1, 2], [0, 2, 3]], dtype=np.int32)]
+    X = sy.SimplicialComplex._from_index_rows(rows, 6)
+    assert X == tuples and X.facets == tuples.facets and repr(X) == repr(tuples)
+    assert X.vertices == tuples.vertices and X.adjacency() == tuples.adjacency()
+    assert all(X.faces(k) == tuples.faces(k) for k in range(3))
+    assert np.array_equal(X.edge_keys(), tuples.edge_keys())
+    for R, given in zip(X.facet_rows(), rows):  # kept as given, as int64
+        assert R.dtype == np.int64 and np.array_equal(R, given)

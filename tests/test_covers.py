@@ -443,6 +443,12 @@ def test_grid_covers_read_the_cocycle_as_arrays(monkeypatch, n, s):
     def refuse(*args):
         raise AssertionError("the grid path called Cochain1.value")
 
+    built = []  # (complex, k) per faces(k) derivation, (complex, "facets") per tuple build
+    faces, row_facets = sy.complexes._faces, sy.complexes._row_facets
+    monkeypatch.setattr(sy.complexes, "_faces",
+                        lambda X, k: built.append((X, k)) or faces(X, k))
+    monkeypatch.setattr(sy.complexes, "_row_facets",
+                        lambda X: built.append((X, "facets")) or row_facets(X))
     quotients = []
 
     def quotient(sphere):
@@ -457,7 +463,8 @@ def test_grid_covers_read_the_cocycle_as_arrays(monkeypatch, n, s):
     else:
         Q, xi = sy.quotient(sy.gen_symmetric_sphere(n, s))
         assert sy.cover_systole(sy.build_cover(Q, xi, 2)) == s
-    assert 2 not in Q._faces
+    # one edge derivation, for the cocycle's domain check: no facet tuple, no triangle
+    assert [k for X, k in built if X is Q] == [1]
 
 
 def _nontrivial_cycle(vertices):

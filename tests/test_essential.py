@@ -423,5 +423,9 @@ def test_partition_validation():
 
 def test_verdict_witness_consistency():
     with pytest.raises(ParameterError):
-        sy.EssentialityVerdict(True, sy.VertexPartition((frozenset({1}),)),
-                               "exhaustive", True)
+        sy.EssentialityVerdict(True, sy.VertexPartition((frozenset({1}),)), "exhaustive")
+    # completeness follows from the method, so no verdict can contradict it
+    assert sy.EssentialityVerdict(True, None, "exhaustive").exhaustive_complete
+    assert not sy.EssentialityVerdict(None, None, "heuristic").exhaustive_complete
+    with pytest.raises(TypeError):
+        sy.EssentialityVerdict(True, None, "heuristic", exhaustive_complete=True)

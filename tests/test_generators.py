@@ -1,4 +1,5 @@
 import hashlib
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -230,26 +231,29 @@ def test_hand_built_sphere_quotients_like_the_generated_one(n, s):
         Qh, xih = sy.quotient(hand)
         assert Qh == Q and Qh.vertices == Q.vertices
         assert xih.values == xi.values and sy.dumps_cochain(xih) == sy.dumps_cochain(xi)
-        _assert_seeded_views(Qh)
+        _assert_same_views(Qh)
 
 
-def _assert_seeded_views(Q):
-    """The index rows and edge keys that ``quotient`` seeds are the ones Q
-    would derive from its facet tuples."""
-    assert {"facet_rows", "edge_keys"} <= Q._derived.keys()
+def _assert_same_views(Q):
+    """Q, built from index rows, equals in every view the complex built from
+    its facet tuples, whose edges are checked against the facets directly."""
     fresh = SimplicialComplex(Q.facets)
-    seeded, derived = Q.facet_rows(), fresh.facet_rows()
-    assert len(seeded) == len(derived)
-    for a, b in zip(seeded, derived):
+    assert fresh.faces(1) == {e for f in fresh.facets for e in combinations(f, 2)}
+    assert (Q.facets, Q.vertices, Q.dim) == (fresh.facets, fresh.vertices, fresh.dim)
+    assert all(Q.faces(k) == fresh.faces(k) for k in range(-1, Q.dim + 2))
+    assert Q.adjacency() == fresh.adjacency()
+    assert len(Q.facet_rows()) == len(fresh.facet_rows())
+    for a, b in zip(Q.facet_rows(), fresh.facet_rows()):
         assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
     assert Q.edge_keys().dtype == fresh.edge_keys().dtype == np.int64
     assert np.array_equal(Q.edge_keys(), fresh.edge_keys())
+    assert Q == fresh and repr(Q) == repr(fresh)
 
 
 @pytest.mark.parametrize("n, s", [(n, s) for n in range(1, 5) for s in range(3, 7)])
 def test_quotient_seeds_the_index_views_it_would_derive(n, s):
     Q, _ = sy.quotient(sy.gen_symmetric_sphere(n, s))
-    _assert_seeded_views(Q)
+    _assert_same_views(Q)
 
 
 def _antipodal(facets, pairs):
@@ -258,7 +262,7 @@ def _antipodal(facets, pairs):
     for i, (v, w) in enumerate(pairs):
         tau[v], tau[w] = w, v
         lab[v], lab[w] = i + 1, -(i + 1)
-    return SymmetricComplex(SimplicialComplex(facets), tau, lab)
+    return SymmetricComplex(sy.build_complex(facets), tau, lab)
 
 
 def _octagon():

@@ -1,17 +1,26 @@
 """One table of refusals that no other test reaches: each malformed call
 raises its ``SystolaError`` subclass with its message."""
 
+from dataclasses import replace
+
 import pytest
 
 import systola as sy
-from systola.errors import CocycleError, DimensionError, DomainError, ParameterError, \
-    SystolaError
+from systola.errors import CocycleError, DimensionError, DomainError, MalformedFaceError, \
+    ParameterError, QuotientError, SystolaError
 
 TRIANGLE = sy.build_complex([[1, 2, 3]])
 SQUARE = sy.gen_polygon(4)
 XI = sy.Cochain1(SQUARE, {(0, 1): 1})
 XZ = sy.Cochain1(SQUARE, {(0, 1): 1}, sy.RING_Z)
 RP1 = sy.build_cover(SQUARE, XI, 2)
+OCTAGON = sy.gen_symmetric_sphere(1, 4)  # vertices 0..7, v and v + 4 antipodal
+
+
+def _relabelled(sphere, **views):
+    """The quotient of ``sphere`` with some of its three views replaced."""
+    return lambda: sy.quotient(replace(sphere, **views))
+
 
 CASES = {
     "cochain_unknown_ring":
@@ -97,6 +106,37 @@ CASES = {
     "recursion_grid_of_an_int":
         (lambda: sy.volume_recursion_check([1, 2], 3), ParameterError,
          "grid points must be a list or tuple, got 3"),
+    "faces_of_unorderable_labels":
+        (lambda: sy.build_complex([(1, "a"), (2, 3)]), MalformedFaceError,
+         "malformed face list: '<' not supported"),
+    "faces_that_are_not_iterable":
+        (lambda: sy.build_complex([1, 2]), MalformedFaceError,
+         "malformed face list: 'int' object is not iterable"),
+    "no_face_list":
+        (lambda: sy.build_complex(None), MalformedFaceError,
+         "malformed face list: 'NoneType' object is not iterable"),
+    "quotient_of_string_labels":
+        (_relabelled(OCTAGON, labels={v: str(x) for v, x in OCTAGON.labels.items()}),
+         QuotientError, "label of vertex 0 must be an integer, got '1'"),
+    "quotient_of_float_labels":
+        (_relabelled(OCTAGON, labels={v: x + 0.5 * (x > 0) - 0.5 * (x < 0)
+                                      for v, x in OCTAGON.labels.items()}),
+         QuotientError, "label of vertex 0 must be an integer, got 1.5"),
+    "quotient_of_bool_labels":
+        (_relabelled(OCTAGON, labels={**OCTAGON.labels, 0: True}), QuotientError,
+         "label of vertex 0 must be an integer, got True"),
+    "quotient_with_a_list_image":
+        (_relabelled(OCTAGON, involution={**OCTAGON.involution, 0: [4]}), QuotientError,
+         "involution is not a free order-2 map"),
+    "quotient_of_a_list_involution":
+        (_relabelled(OCTAGON, involution=list(OCTAGON.involution.values())), ParameterError,
+         "the involution must be a dict, got list"),
+    "quotient_of_list_labels":
+        (_relabelled(OCTAGON, labels=list(OCTAGON.labels.values())), ParameterError,
+         "the labels must be a dict, got list"),
+    "quotient_of_a_facet_tuple":
+        (_relabelled(OCTAGON, complex=OCTAGON.complex.facets), ParameterError,
+         "the complex must be a SimplicialComplex, got tuple"),
 }
 
 
