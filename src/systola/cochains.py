@@ -4,12 +4,12 @@ Degree-1 cochains carry either Z2 or integer values (integers are only
 needed to build cyclic covers); cup products and class-nontriviality
 tests work over Z2.
 
-The cocycle test and the covers' total graph read a 1-cochain through its
-support as sorted edge keys (``SimplicialComplex.edge_keys`` form), one
-``searchsorted`` per column pair of the complex's facet rows, so neither
-derives triangles as tuples.  Values stay exact: they are int64 while every
-magnitude is below 2**61, so that a sum of three cannot wrap, and Python ints
-in an object array otherwise.
+A 1-cochain keeps one value per edge, aligned with the complex's sorted edge
+keys (``SimplicialComplex.edge_keys``): the cocycle test reads it with one
+``searchsorted`` per column pair of the facet rows and the covers' total
+graph as it is, so neither derives triangles as tuples.  Values stay exact:
+they are int64 while every magnitude is below 2**61, so that a sum of three
+cannot wrap, and Python ints in an object array otherwise.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from itertools import combinations
 import numpy as np
 
 from . import gf2
-from .complexes import InducedSubcomplex, SimplicialComplex
+from .complexes import InducedSubcomplex, SimplicialComplex, _vertex_set
 from .errors import CocycleError, DimensionError, DomainError, ParameterError, \
     UnknownVertexError, require_int
 
@@ -33,33 +33,45 @@ class Cochain1:
     Over Z2 the orientation is irrelevant; over the integers the stored
     value belongs to the edge oriented from its smaller to its larger
     vertex.  ``values`` is not changed after construction, so the cocycle
-    verdict, the step table and the keyed support are computed at most once
-    per cochain.
+    verdict and the step table are computed at most once per cochain.
     """
 
-    __slots__ = ("complex", "values", "ring", "_steps", "_cocycle", "_keyed")
+    __slots__ = ("complex", "values", "ring", "_edge_values", "_steps", "_cocycle")
 
     def __init__(self, complex: SimplicialComplex, values, ring: str = RING_Z2):
         if ring not in (RING_Z2, RING_Z):
             raise ParameterError(f"unknown coefficient ring {ring!r}")
-        edge_set = complex.faces(1)
-        vals = {}
+        index = complex.vertex_index()
+        nv = complex.num_vertices
+        keyed, vals = {}, {}  # each given edge, sorted, to its key a·V + b; the nonzero values
         for e, v in values.items():
-            e = tuple(sorted(e))
-            if e not in edge_set:
-                raise DomainError(f"{e!r} is not an edge of the complex")
+            try:
+                e = tuple(sorted(e))
+                a, b = e
+                keyed[e] = index[a] * nv + index[b]
+            except (TypeError, ValueError, KeyError):
+                raise DomainError(f"{e!r} is not an edge of the complex") from None
             if type(v) is not int:  # refuses bools, floats and strings; keeps numpy ints
                 v = require_int(v, f"the value on {e!r}")
             if ring == RING_Z2:
                 v %= 2
             if v:
                 vals[e] = v
+        keys = complex.edge_keys()
+        given = np.fromiter(keyed.values(), dtype=np.int64, count=len(keyed))
+        pos = np.searchsorted(keys, given)
+        missing = np.flatnonzero(np.searchsorted(keys, given, "right") == pos)
+        if len(missing):
+            raise DomainError(f"{list(keyed)[missing[0]]!r} is not an edge of the complex")
+        big = max(map(abs, vals.values()), default=0) >= 2 ** 61
+        self._edge_values = np.zeros(len(keys), dtype=object if big else np.int64)
+        self._edge_values[pos] = [vals.get(e, 0) for e in keyed]
+        self._edge_values.flags.writeable = False  # it must keep agreeing with ``values``
         self.complex = complex
         self.values = vals
         self.ring = ring
         self._steps = None
         self._cocycle = None
-        self._keyed = None
 
     def value(self, u, v) -> int:
         """Value on the oriented edge u -> v."""
@@ -68,31 +80,17 @@ class Cochain1:
         x = self.values.get((v, u), 0)
         return x if self.ring == RING_Z2 else -x
 
+    def edge_values(self) -> np.ndarray:
+        """The values on the edges a -> b of ``complex.edge_keys()``, in order:
+        int64, or object once a value reaches 2**61 in magnitude."""
+        return self._edge_values
+
     def step_table(self) -> dict:
         """Vertex v -> ((w, value(v, w)), ...) over its neighbours, built once."""
         if self._steps is None:
             self._steps = {v: tuple((w, self.value(v, w)) for w in nbrs)
                            for v, nbrs in self.complex.adjacency().items()}
         return self._steps
-
-    def at_keys(self, keys: np.ndarray) -> np.ndarray:
-        """Values on the edges a -> b given as keys a·V + b (vertex indices
-        a < b), 0 off the support; int64, or object for values of 2**61 or
-        more in magnitude."""
-        if self._keyed is None:
-            index = self.complex.vertex_index()
-            nv = self.complex.num_vertices
-            support = np.fromiter((index[a] * nv + index[b] for a, b in self.values),
-                                  dtype=np.int64, count=len(self.values))
-            vals = list(self.values.values())
-            big = max(map(abs, vals), default=0) >= 2 ** 61
-            order = np.argsort(support)
-            self._keyed = support[order], np.array(vals, dtype=object if big else np.int64)[order]
-        support, vals = self._keyed
-        if not len(support):
-            return np.zeros(len(keys), dtype=vals.dtype)
-        pos = np.minimum(np.searchsorted(support, keys), len(support) - 1)
-        return np.where(support[pos] == keys, vals[pos], 0)
 
     def is_zero(self) -> bool:
         return not self.values
@@ -170,11 +168,13 @@ def _coboundary_vanishes(c: Cochain1) -> bool:
     shared by several facets is checked once per facet."""
     X = c.complex
     nv = X.num_vertices
+    keys, vals = X.edge_keys(), c.edge_values()
     for R in X.facet_rows():
         width = R.shape[1]
         if width < 3:
             continue
-        on = {(i, j): c.at_keys(R[:, i] * nv + R[:, j])
+        # every column pair of a facet row is an edge, so every key is found
+        on = {(i, j): vals[np.searchsorted(keys, R[:, i].astype(np.int64) * nv + R[:, j])]
               for i, j in combinations(range(width), 2)}
         for i, j, k in combinations(range(width), 3):
             delta = on[i, j] + on[j, k] - on[i, k]
@@ -335,10 +335,10 @@ def potential_is_consistent(steps, W, modulus=None) -> bool:
     tree parent; the first edge that disagrees answers False.  ``modulus``
     is the fiber for covers, 2 over Z2 and None over the integers.  W may be
     any iterable of vertices; this is the one place where a vertex subset is
-    checked, and a vertex with no entry in ``steps`` is refused with
-    ``UnknownVertexError``.
+    checked: a W that is no iterable of hashable labels, or a vertex with no
+    entry in ``steps``, is refused with ``UnknownVertexError``.
     """
-    W = W if isinstance(W, (set, frozenset)) else set(W)
+    W = W if isinstance(W, (set, frozenset)) else _vertex_set(W)
     if not steps.keys() >= W:
         unknown = next(v for v in W if v not in steps)
         raise UnknownVertexError(f"{unknown!r} is not a vertex of the complex")

@@ -8,12 +8,12 @@ intermediate dimension are derived lazily from the facets, so large
 complexes never pay for dimensions nobody asks about.
 
 The array view names vertex i of the sorted vertex tuple by its index i:
-``facet_rows`` holds the facets as sorted int64 rows, one array per facet
-width, and ``edge_keys`` the edges as sorted keys a·V + b with a < b, of
-which ``faces(1)`` is the label-pair view.  Every view is built on first
-read and kept in the one ``derived`` cache.  A complex on vertices 0..V-1
-can be built from its facet rows (``_from_index_rows``); its facet tuples
-are then built only when they are read.
+``facet_rows`` holds the facets as sorted integer rows, one array per
+facet width, and ``edge_keys`` the edges as sorted int64 keys a·V + b with
+a < b, of which ``faces(1)`` is the label-pair view.  Every view is built
+on first read and kept in the one ``derived`` cache.  A complex on
+vertices 0..V-1 can be built from its facet rows (``_from_index_rows``);
+its facet tuples are then built only when they are read.
 """
 
 from __future__ import annotations
@@ -59,11 +59,11 @@ class SimplicialComplex:
     def _from_index_rows(cls, rows, num_vertices: int, edge_keys=None):
         """The complex on vertices 0..num_vertices-1, each on some facet, whose
         non-nested facets are the sorted rows of ``rows``, one array per width
-        in increasing width, rows in any order.  ``edge_keys``, if given, must
-        be what ``edge_keys()`` would derive."""
+        in increasing width, rows in any order and of any integer dtype.
+        ``edge_keys``, if given, must be what ``edge_keys()`` would derive."""
         X = cls.__new__(cls)
         X.vertices = tuple(range(num_vertices))
-        X._derived = {"facet_rows": tuple(np.asarray(R, dtype=np.int64) for R in rows)}
+        X._derived = {"facet_rows": tuple(map(np.asarray, rows))}
         if edge_keys is not None:
             X._derived["edge_keys"] = edge_keys
         return X
@@ -91,11 +91,19 @@ class SimplicialComplex:
         return self.derived(("faces", k), lambda X: _faces(X, k))
 
     def has_vertex(self, v) -> bool:
-        return v in self.vertex_index()
+        try:
+            return v in self.vertex_index()
+        except TypeError:  # an unhashable label, so no vertex
+            return False
 
     def has_face(self, face) -> bool:
-        face = canonical_face(face)
-        return face in self.faces(len(face) - 1)
+        """Refuses a face that is not iterable or whose labels cannot be
+        ordered or hashed with ``MalformedFaceError``."""
+        try:
+            face = canonical_face(face)
+            return face in self.faces(len(face) - 1)
+        except TypeError as exc:
+            raise MalformedFaceError(f"malformed face {face!r}: {exc}") from None
 
     def adjacency(self) -> dict:
         """Vertex -> sorted tuple of neighbours in the 1-skeleton (cached)."""
@@ -120,9 +128,9 @@ class SimplicialComplex:
         return self.derived("vertex_index", lambda X: {v: i for i, v in enumerate(X.vertices)})
 
     def facet_rows(self) -> tuple:
-        """The facets as int64 rows of vertex indices, one array per facet
-        width in increasing width, each row sorted (cached).  The rows come
-        in facet order, or in the order given to the row constructor."""
+        """The facets as rows of vertex indices, one array per facet width in
+        increasing width, each row sorted (cached): int64 rows in facet order,
+        or the row constructor's rows as given.  Pack keys in int64."""
         return self.derived("facet_rows", _facet_rows)
 
     def edge_keys(self) -> np.ndarray:
@@ -170,6 +178,15 @@ def _bfs(X: SimplicialComplex, x, cutoff=None) -> dict:
                 dist[w] = dist[u] + 1
                 queue.append(w)
     return dist
+
+
+def _vertex_set(W) -> set:
+    """The set of W's members; a W that is not an iterable of hashable
+    labels is refused with ``UnknownVertexError``."""
+    try:
+        return set(W)
+    except TypeError:
+        raise UnknownVertexError(f"{W!r} is not a collection of vertex labels") from None
 
 
 def _as_tuples(rows: np.ndarray, names) -> list:
@@ -313,7 +330,7 @@ class InducedSubcomplex:
 
 def induced(X: SimplicialComplex, W) -> InducedSubcomplex:
     """The subcomplex of X induced by the vertex subset W."""
-    W = frozenset(W)
+    W = frozenset(_vertex_set(W))
     unknown = [v for v in W if not X.has_vertex(v)]
     if unknown:
         raise UnknownVertexError(f"vertices not in complex: {sorted(unknown)!r}")

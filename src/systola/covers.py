@@ -5,8 +5,8 @@ sheet transitions along edges; the cocycle condition makes every face
 lift consistently, so the total space is again a simplicial complex with
 vertices ``(v, sheet)``, built on first read.  ``build_cover`` checks that
 condition on the base's facet rows, and the total graph takes its edges
-from the base's edge keys and their sheet changes from the cocycle's keyed
-support (``Cochain1.at_keys``), so neither reads the cocycle edge by edge.
+from the base's edge keys and their sheet changes from the cocycle's
+``edge_values``, so neither reads the cocycle edge by edge.
 
 BFS utilities (:func:`edge_distance`, :func:`ball`, :func:`sphere`) are
 plain Python.  A closed base walk at x with holonomy g lifts to a path of
@@ -135,7 +135,7 @@ class Cover:
                     f"the total graph of a {F}-fold cover would have {size:,} vertices "
                     f"and edges, above the cap of {MAX_TOTAL_GRAPH:,}")
             u, v = np.divmod(keys, nv)
-            shift = (self.cocycle.at_keys(keys) % F).astype(np.int64)
+            shift = (self.cocycle.edge_values() % F).astype(np.int64)
             sheets = np.arange(F)
             rows = (u[:, None] * F + sheets).ravel()
             cols = (v[:, None] * F + (sheets + shift[:, None]) % F).ravel()

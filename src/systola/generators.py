@@ -134,7 +134,8 @@ def _sphere_arrays(sc: SymmetricComplex):
     """``(names, facet rows by width, tau, lab)`` over vertex indices.
 
     ``names[i]`` is the vertex with index i.  An involution value that is
-    no vertex of the complex becomes -1, and a missing label 0.
+    no vertex of the complex, or only equals one, becomes -1, and a missing
+    label 0.
     """
     X, involution, labels = sc.complex, sc.involution, sc.labels
     if not isinstance(X, SimplicialComplex):
@@ -142,16 +143,30 @@ def _sphere_arrays(sc: SymmetricComplex):
     for name, view in (("involution", involution), ("labels", labels)):
         if not isinstance(view, dict):
             raise ParameterError(f"the {name} must be a dict, got {type(view).__name__}")
-    index = X.vertex_index()
+    index, names = X.vertex_index(), X.vertices
     try:
-        tau = np.array([index.get(involution.get(v), -1) for v in X.vertices], dtype=np.int32)
+        tau = np.array([_image(index, names, involution.get(v)) for v in names], dtype=np.int32)
     except TypeError:  # an unhashable image, so no vertex
         tau = np.full(X.num_vertices, -1, dtype=np.int32)
-    lab = [labels.get(v, 0) for v in X.vertices]
-    for v, x in zip(X.vertices, lab):
-        if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+    lab = [labels.get(v, 0) for v in names]
+    for v, x in zip(names, lab):
+        if not _is_int(x):
             raise QuotientError(f"label of vertex {v!r} must be an integer, got {x!r}")
-    return X.vertices, X.facet_rows(), tau, np.array(lab)
+    return names, X.facet_rows(), tau, np.array(lab)
+
+
+def _is_int(x) -> bool:
+    """A Python or numpy integer; bools are refused."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _image(index, names, w) -> int:
+    """The index of the vertex w, or -1 when w is none: also when w only
+    compares equal to one, as 3.0 or True does to 3."""
+    i = index.get(w, -1)
+    if i < 0 or type(w) is type(names[i]) or _is_int(w) and _is_int(names[i]):
+        return i
+    return -1
 
 
 def _first(mask) -> int:

@@ -90,10 +90,10 @@ def read_complex(path) -> SimplicialComplex:
 
 def dumps_cochain(c: Cochain1) -> str:
     _require_int_labels(c.complex)
-    edges = sorted(c.complex.faces(1))
+    # edge-key order is sorted label order, so the values align with the edges
     doc = {
-        "edges": [list(e) for e in edges],
-        "values": [c.values.get(e, 0) for e in edges],
+        "edges": [list(e) for e in sorted(c.complex.faces(1))],
+        "values": c.edge_values().tolist(),
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 

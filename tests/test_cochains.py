@@ -77,6 +77,57 @@ def test_integer_cocycle_check_is_exact(values, oracle):
     assert sy.is_cocycle(c) is oracle
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 31))
+def test_edge_values_follow_the_sorted_edges(seed):
+    """edge_values()[i] is the value on the i-th sorted edge, over Z2 and Z,
+    with values of 2**61 or more, on complexes with isolated vertices or no
+    edges at all, labelled by ints or by tuples."""
+    rng = random.Random(seed)
+    count = rng.randint(1, 7)
+    facets = [rng.sample(range(count), rng.randint(1, min(4, count)))
+              for _ in range(rng.randint(1, 6))]
+    facets += [[count + i] for i in range(rng.randint(0, 2))]  # isolated vertices
+    if rng.random() < 0.2:
+        facets = [[v] for v in range(count)]  # no edges
+    if rng.random() < 0.3:
+        facets = [[(v % 3, v) for v in f] for f in facets]
+    X = sy.build_complex(facets)
+    ring = rng.choice([sy.RING_Z2, sy.RING_Z])
+    scale = rng.choice([1, 2 ** 61, 2 ** 70])
+    edges = sorted(X.faces(1))
+    values = {(e if rng.random() < 0.5 else e[::-1]): rng.randint(-3, 3) * scale
+              for e in edges if rng.random() < 0.7}
+    c = sy.Cochain1(X, values, ring)
+    vec = c.edge_values()
+    assert len(vec) == len(X.edge_keys()) == len(edges)
+    assert vec.tolist() == [c.value(*e) for e in edges]
+    big = any(abs(v) >= 2 ** 61 for v in c.values.values())
+    assert vec.dtype == (object if big else np.int64) and not vec.flags.writeable
+
+
+def test_an_edge_given_twice_keeps_its_last_nonzero_value():
+    X = sy.build_complex([(1, 2, 3)])
+    for values, kept in [({(1, 2): 1, (2, 1): 0}, 1), ({(1, 2): 0, (2, 1): 5}, 5),
+                         ({(1, 2): 3, (2, 1): 5}, 5)]:
+        c = sy.Cochain1(X, values, sy.RING_Z)
+        assert c.values == {(1, 2): kept}
+        assert c.edge_values().tolist() == [kept, 0, 0]
+
+
+@pytest.mark.parametrize("ring", [sy.RING_Z2, sy.RING_Z])
+def test_int32_rows_check_a_cocycle_exactly_past_2_31(ring):
+    # a strip of triangles (i, i+1, i+2): its edge keys a·V + b pass 2**31
+    V = 50_000
+    i = np.arange(V - 2, dtype=np.int32)
+    X = sy.SimplicialComplex._from_index_rows([np.column_stack([i, i + 1, i + 2])], V)
+    assert X.facet_rows()[0].dtype == np.int32 and X.edge_keys()[-1] >= 2 ** 31
+    top = (V - 3, V - 1)
+    assert not sy.is_cocycle(sy.Cochain1(X, {top: 1}, ring))
+    # the coboundary of the last vertex
+    assert sy.is_cocycle(sy.Cochain1(X, {top: 1, (V - 2, V - 1): 1}, ring))
+
+
 @pytest.mark.parametrize("n, s", [(n, s) for n in range(2, 5) for s in range(3, 9)])
 def test_one_edge_change_breaks_every_grid_cocycle(n, s):
     # for n >= 2 every edge of the quotient lies in a triangle

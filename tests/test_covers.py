@@ -463,8 +463,8 @@ def test_grid_covers_read_the_cocycle_as_arrays(monkeypatch, n, s):
     else:
         Q, xi = sy.quotient(sy.gen_symmetric_sphere(n, s))
         assert sy.cover_systole(sy.build_cover(Q, xi, 2)) == s
-    # one edge derivation, for the cocycle's domain check: no facet tuple, no triangle
-    assert [k for X, k in built if X is Q] == [1]
+    # the cocycle is checked and read on Q's edge keys: no tuple view of Q at all
+    assert [k for X, k in built if X is Q] == []
 
 
 def _nontrivial_cycle(vertices):

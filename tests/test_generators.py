@@ -244,7 +244,7 @@ def _assert_same_views(Q):
     assert Q.adjacency() == fresh.adjacency()
     assert len(Q.facet_rows()) == len(fresh.facet_rows())
     for a, b in zip(Q.facet_rows(), fresh.facet_rows()):
-        assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
+        assert np.issubdtype(a.dtype, np.integer) and np.array_equal(a, b)
     assert Q.edge_keys().dtype == fresh.edge_keys().dtype == np.int64
     assert np.array_equal(Q.edge_keys(), fresh.edge_keys())
     assert Q == fresh and repr(Q) == repr(fresh)
@@ -276,6 +276,15 @@ def test_quotient_rejects_bad_involution():
         broken = SymmetricComplex(sphere.complex, involution, sphere.labels)
         with pytest.raises(QuotientError, match="free order-2"):
             sy.quotient(broken)
+
+
+def test_quotient_takes_numpy_integer_images():
+    sphere = _octagon()
+    want = sy.quotient(sphere)
+    for image in (np.int32, np.int64):
+        Q, xi = sy.quotient(SymmetricComplex(
+            sphere.complex, {v: image(w) for v, w in sphere.involution.items()}, sphere.labels))
+        assert Q == want[0] and xi.values == want[1].values
 
 
 @pytest.mark.parametrize("relabel", [abs, lambda x: 0 if abs(x) == 2 else x],

@@ -7,7 +7,7 @@ import pytest
 
 import systola as sy
 from systola.errors import CocycleError, DimensionError, DomainError, MalformedFaceError, \
-    ParameterError, QuotientError, SystolaError
+    ParameterError, QuotientError, SystolaError, UnknownVertexError
 
 TRIANGLE = sy.build_complex([[1, 2, 3]])
 SQUARE = sy.gen_polygon(4)
@@ -15,6 +15,8 @@ XI = sy.Cochain1(SQUARE, {(0, 1): 1})
 XZ = sy.Cochain1(SQUARE, {(0, 1): 1}, sy.RING_Z)
 RP1 = sy.build_cover(SQUARE, XI, 2)
 OCTAGON = sy.gen_symmetric_sphere(1, 4)  # vertices 0..7, v and v + 4 antipodal
+RP2 = sy.gen_named("rp2-six")
+RP2_CLASS = sy.h1_basis(RP2)[0]
 
 
 def _relabelled(sphere, **views):
@@ -38,6 +40,59 @@ CASES = {
     "class_in_degree_0":
         (lambda: sy.class_is_nonzero(sy.CochainK(SQUARE, 0, [(0,)])), DimensionError,
          "degree must be at least 1"),
+    "cochain_unknown_label":
+        (lambda: sy.Cochain1(SQUARE, {(0, 9): 1}), DomainError,
+         r"\(0, 9\) is not an edge of the complex"),
+    "cochain_on_a_triple":
+        (lambda: sy.Cochain1(SQUARE, {(0, 1, 2): 1}), DomainError,
+         r"\(0, 1, 2\) is not an edge of the complex"),
+    "cochain_on_a_self_loop":
+        (lambda: sy.Cochain1(SQUARE, {(1, 1): 1}), DomainError,
+         r"\(1, 1\) is not an edge of the complex"),
+    "cochain_on_a_non_edge":
+        (lambda: sy.Cochain1(SQUARE, {(0, 1): 1, (2, 0): 1}), DomainError,
+         r"\(0, 2\) is not an edge of the complex"),
+    "cochain_on_a_non_pair":
+        (lambda: sy.Cochain1(SQUARE, {5: 1}), DomainError, "5 is not an edge of the complex"),
+    "cochain_on_unorderable_labels":
+        (lambda: sy.Cochain1(SQUARE, {(0, "a"): 1}), DomainError,
+         r"\(0, 'a'\) is not an edge of the complex"),
+    "face_query_of_an_int":
+        (lambda: RP2.has_face(5), MalformedFaceError,
+         "malformed face 5: 'int' object is not iterable"),
+    "face_query_of_unorderable_labels":
+        (lambda: RP2.has_face(("a", 1)), MalformedFaceError,
+         r"malformed face \('a', 1\): '<' not supported"),
+    "face_query_of_unhashable_labels":
+        (lambda: RP2.has_face(([1], [2])), MalformedFaceError,
+         r"malformed face \(\[1\], \[2\]\): unhashable type"),
+    "ball_at_an_unhashable_vertex":
+        (lambda: sy.ball(RP2, [1], 1), UnknownVertexError,
+         r"\[1\] is not a vertex of the complex"),
+    "sphere_at_an_unhashable_vertex":
+        (lambda: sy.sphere(RP2, [1], 1), UnknownVertexError,
+         r"\[1\] is not a vertex of the complex"),
+    "ball_profile_at_an_unhashable_vertex":
+        (lambda: sy.ball_profile(RP2, [1]), UnknownVertexError,
+         r"\[1\] is not a vertex of the complex"),
+    "distance_to_an_unhashable_vertex":
+        (lambda: sy.edge_distance(RP2, 1, [2]), UnknownVertexError,
+         r"\[2\] is not a vertex of the complex"),
+    "induced_on_unhashable_vertices":
+        (lambda: sy.induced(RP2, [[1]]), UnknownVertexError,
+         r"\[\[1\]\] is not a collection of vertex labels"),
+    "induced_on_an_int":
+        (lambda: sy.induced(RP2, 5), UnknownVertexError,
+         "5 is not a collection of vertex labels"),
+    "restriction_to_unhashable_vertices":
+        (lambda: sy.restriction_is_zero(RP2_CLASS, [[1]]), UnknownVertexError,
+         r"\[\[1\]\] is not a collection of vertex labels"),
+    "restriction_to_an_int":
+        (lambda: sy.restriction_is_zero(RP2_CLASS, 5), UnknownVertexError,
+         "5 is not a collection of vertex labels"),
+    "inessential_test_of_unhashable_vertices":
+        (lambda: sy.is_pi_inessential(RP1, [[1]]), UnknownVertexError,
+         r"\[\[1\]\] is not a collection of vertex labels"),
     "cochain_k_face_outside":
         (lambda: sy.CochainK(SQUARE, 1, [(0, 2)]), DomainError,
          r"\(0, 2\) is not a 1-face of the complex"),
@@ -125,6 +180,12 @@ CASES = {
     "quotient_of_bool_labels":
         (_relabelled(OCTAGON, labels={**OCTAGON.labels, 0: True}), QuotientError,
          "label of vertex 0 must be an integer, got True"),
+    "quotient_with_float_images":
+        (_relabelled(OCTAGON, involution={v: float(w) for v, w in OCTAGON.involution.items()}),
+         QuotientError, "involution is not a free order-2 map"),
+    "quotient_with_a_bool_image":
+        (_relabelled(OCTAGON, involution={**OCTAGON.involution, 5: True}), QuotientError,
+         "involution is not a free order-2 map"),
     "quotient_with_a_list_image":
         (_relabelled(OCTAGON, involution={**OCTAGON.involution, 0: [4]}), QuotientError,
          "involution is not a free order-2 map"),
