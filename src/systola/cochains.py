@@ -19,7 +19,8 @@ from itertools import combinations
 import numpy as np
 
 from . import gf2
-from .complexes import InducedSubcomplex, SimplicialComplex, _vertex_set
+from .complexes import InducedSubcomplex, SimplicialComplex, _as_tuples, _vertex_set, \
+    lex_keys, runs
 from .errors import CocycleError, DimensionError, DomainError, ParameterError, \
     UnknownVertexError, require_int
 
@@ -118,19 +119,47 @@ class Cochain1:
 class CochainK:
     """A Z2 cochain of degree k, stored as its support set of k-faces."""
 
-    __slots__ = ("complex", "degree", "support")
+    __slots__ = ("complex", "degree", "support", "_ids")
 
     def __init__(self, complex: SimplicialComplex, degree: int, support):
         faces = complex.faces(degree)
         supp = set()
         for f in support:
-            f = tuple(sorted(f))
-            if f not in faces:
+            try:
+                f = tuple(sorted(f))
+                known = f in faces
+            except TypeError:  # not iterable, or labels that cannot be ordered
+                known = False
+            if not known:
                 raise DomainError(f"{f!r} is not a {degree}-face of the complex")
             supp.add(f)
         self.complex = complex
         self.degree = degree
         self.support = frozenset(supp)
+        self._ids = None
+
+    @classmethod
+    def _from_rows(cls, complex: SimplicialComplex, degree: int, ids) -> "CochainK":
+        """The cochain on the k-faces at positions ``ids`` of
+        ``complex.face_rows(degree)``; tuples are built for them only."""
+        c = cls.__new__(cls)
+        c.complex, c.degree, c._ids = complex, degree, ids
+        c.support = frozenset(_as_tuples(complex.face_rows(degree)[ids], complex.vertices))
+        return c
+
+    def _face_ids(self) -> np.ndarray:
+        """Positions of the support in ``complex.face_rows(degree)``."""
+        if self._ids is None:
+            X = self.complex
+            faces = X.face_rows(self.degree)
+            index = X.vertex_index()
+            rows = np.array([[index[v] for v in f] for f in self.support],
+                            dtype=np.int64).reshape(-1, self.degree + 1)
+            # keys of both sets at once, so that ranks taken against
+            # overflow are shared
+            keys = lex_keys(np.concatenate([faces, rows]), X.num_vertices)
+            self._ids = np.searchsorted(keys[:len(faces)], keys[len(faces):])
+        return self._ids
 
     def value(self, face) -> int:
         return 1 if tuple(sorted(face)) in self.support else 0
@@ -222,31 +251,30 @@ def cup_power(classes, X: SimplicialComplex | None = None) -> CochainK:
             raise CocycleError("cup products are taken of cocycles only")
     if n > X.dim:
         raise DimensionError(f"product of degree {n} exceeds complex dimension {X.dim}")
-    support = set()
-    for f in X.faces(n):
-        bit = 1
-        for k in range(1, n + 1):
-            if not classes[k - 1].value(f[k - 1], f[k]):
-                bit = 0
-                break
-        if bit:
-            support.add(f)
-    return CochainK(X, n, support)
+    rows = X.face_rows(n)
+    keys, nv = X.edge_keys(), X.num_vertices
+    on = np.arange(len(rows))
+    for k, c in enumerate(classes, 1):
+        edges = rows[on, k - 1].astype(np.int64) * nv + rows[on, k]
+        on = on[c.edge_values()[np.searchsorted(keys, edges)] != 0]
+    return CochainK._from_rows(X, n, on)
 
 
 def class_is_nonzero(c: CochainK) -> bool:
     """True iff c, assumed a cocycle, is not a Z2 coboundary.
 
     Decided by whether the target lies in the span of the coboundaries of
-    the (k-1)-faces (``gf2.in_span``).  Each column is passed as its
-    support, the indices of the k-faces that contain the (k-1)-face, and
-    the target as the indices of c's support.  Columns of weight 2 are
-    contracted by union-find before any elimination; in top degree on a
+    the (k-1)-faces (``gf2.in_span``).  The k-faces are numbered by their
+    position in ``face_rows(k)``, and the column of a (k-1)-face is the
+    set of k-faces that contain it: each k-face row with one column
+    dropped names a ridge, and one sort of the ridges' ``lex_keys`` groups
+    them, in sorted ridge order.  The target is c's support.  Columns of
+    weight 2 are contracted before any elimination; in top degree on a
     closed pseudomanifold every column has weight 2, so c is nonzero iff
     its support is odd on some component of the dual graph.  The verdict
     does not depend on the order of faces or columns, but the fill-in of
-    the elimination below top degree does: k-faces are indexed in sorted
-    order and columns come in sorted (k-1)-face order.
+    the elimination below top degree does, so both orders are the sorted
+    ones.
     """
     if c.degree < 1:
         raise DimensionError("degree must be at least 1")
@@ -254,14 +282,11 @@ def class_is_nonzero(c: CochainK) -> bool:
         return False
     X = c.complex
     k = c.degree
-    kfaces = sorted(X.faces(k))
-    fidx = {f: i for i, f in enumerate(kfaces)}
-    columns = {}
-    for i, f in enumerate(kfaces):
-        for j in range(k + 1):
-            columns.setdefault(f[:j] + f[j + 1:], []).append(i)
-    cols = [columns[t] for t in sorted(columns)]
-    return not gf2.in_span(cols, [fidx[f] for f in c.support])
+    faces = X.face_rows(k)
+    ridges = np.concatenate([np.delete(faces, j, axis=1) for j in range(k + 1)])
+    keys = lex_keys(ridges, X.num_vertices)
+    order = np.argsort(keys)
+    return not gf2.in_span(runs(keys[order])[1], order % len(faces), c._face_ids())
 
 
 def h1_basis(X: SimplicialComplex) -> list[Cochain1]:
@@ -270,8 +295,9 @@ def h1_basis(X: SimplicialComplex) -> list[Cochain1]:
     The cocycles are what ``gf2.kernel_basis`` gives for the full triangle
     system, one per free edge coordinate in ascending order, each kept (as
     its residual) if it is independent of the vertex stars and of the
-    vectors before it.  Deterministic for a fixed complex.  The full system
-    is never eliminated:
+    vectors before it.  Edge i is the i-th of ``X.edge_keys()``, so the
+    i-th edge in sorted order.  Deterministic for a fixed complex.  The
+    full system is never eliminated:
 
     * The pivots of a lowest-bit echelon are the lowest bits of its row
       space, whatever the insertion order.  So the free coordinates are the
@@ -280,15 +306,19 @@ def h1_basis(X: SimplicialComplex) -> list[Cochain1]:
       coordinate.
     * Z^1 is the coboundaries plus the cocycles that vanish on T, the
       spanning forest that Kruskal builds from the highest edge index down.
-      The highest bits of the coboundaries are the edges of T; the rest of
-      the free set is the set C of highest bits of cocycles vanishing on T.
+      ``_spanning_forest`` builds it in Borůvka rounds instead: the edge
+      indices are distinct weights, so both give the one maximum spanning
+      forest.  The highest bits of the coboundaries are the edges of T;
+      the rest of the free set is the set C of highest bits of cocycles
+      vanishing on T.
     * Those cocycles come from gauge fixing: ground the tree edges and peel
-      the triangles (``gf2.Contraction.peel``): one left with one edge
-      grounds it, one left with two joins them, again on the projections
-      onto the current classes until nothing changes.  The few triangles
-      left go to ``kernel_basis`` over the classes, numbered by their
-      highest edge, so its k-th vector expands to the kernel vector K_c of
-      the k-th c in C.
+      the triangles (``gf2.peel``; the triangles are ``face_rows(2)``, their
+      edges found by ``searchsorted`` in the edge keys): one left with one
+      edge grounds it, one left with two joins them, again on the
+      projections onto the current classes until nothing changes.  The few
+      triangles left go to ``kernel_basis`` over the classes, numbered by
+      their highest edge, so its k-th vector expands to the kernel vector
+      K_c of the k-th c in C.
     * The kernel vector of a forest edge j is its fundamental cut plus the
       K_c of every c whose tree path crosses j.  Each such c is below j (T
       took every edge of that path before it reached c), so the vector is
@@ -297,34 +327,64 @@ def h1_basis(X: SimplicialComplex) -> list[Cochain1]:
       inserted, and each leaves a residual, since no nonzero coboundary
       vanishes on T.
     """
-    edges = sorted(X.faces(1))
-    eidx = {e: i for i, e in enumerate(edges)}
-    vi = X.vertex_index()
-    forest = gf2.Contraction()
-    uf = gf2.Contraction()
-    for i in range(len(edges) - 1, -1, -1):
-        u, v = edges[i]
-        if forest.join(vi[u], vi[v]):
-            uf.join(i)  # a tree edge: ground it
-    heavy = uf.peel([(eidx[(a, b)], eidx[(b, d)], eidx[(a, d)]) for a, b, d in X.faces(2)])
-    members = {}
-    for i in range(len(edges)):
-        if (r := uf.find(i)) != gf2._GROUND:
-            members.setdefault(r, []).append(i)
-    roots = sorted(members, key=lambda r: members[r][-1])
-    cid = {r: k for k, r in enumerate(roots)}
-    kernel = gf2.kernel_basis([gf2._vector(cid[r] for r in s) for s in heavy], len(roots))
+    nv = X.num_vertices
+    keys = X.edge_keys()
+    a, b = np.divmod(keys, nv)
+    edge = np.arange(len(keys))
+    parent = np.arange(len(keys) + 1)  # edge i is entry i + 1; entry 0 is the ground
+    parent[edge[_spanning_forest(a, b, nv)] + 1] = 0
+    tri = X.face_rows(2).astype(np.int64)
+    sides = [np.searchsorted(keys, tri[:, i] * nv + tri[:, j]) + 1
+             for i, j in ((0, 1), (1, 2), (0, 2))]
+    ids, roots = gf2.peel(parent, np.repeat(np.arange(len(tri)), 3),
+                          np.column_stack(sides).ravel())
+    root = parent[1:]
+    free = root != 0
+    highest = np.full(len(parent), -1)  # root -> the highest edge of its class
+    np.maximum.at(highest, root[free], edge[free])
+    top = np.zeros(len(keys), dtype=bool)
+    top[highest[highest >= 0]] = True
+    cid = np.cumsum(top) - 1  # at the highest edge of each class, its number
+    kernel = gf2.kernel_basis(gf2._vectors(ids, cid[highest[roots]]), int(top.sum()))
     if not kernel:
         return []
+    klass = cid[highest[root[free]]]
+    members = np.split(edge[free][np.argsort(klass)],
+                       np.cumsum(np.bincount(klass))[:-1])
+    members = [m.tolist() for m in members]
     reps = gf2.Echelon()
-    adj = X.adjacency()
-    for v in X.vertices:
-        reps.insert(gf2._vector(eidx[(u, v) if u < v else (v, u)] for u in adj[v]))
+    ends = np.concatenate([a, b])
+    order = np.argsort(ends)
+    for star in gf2._vectors(ends[order], np.concatenate([edge, edge])[order]):
+        reps.insert(star)
+    names = X.vertices
     out = []
     for x in kernel:
-        residual = reps.insert(gf2._vector(i for k in gf2._bits(x) for i in members[roots[k]]))
-        out.append(Cochain1(X, {edges[i]: 1 for i in gf2._bits(residual)}, RING_Z2))
+        residual = reps.insert(gf2._vector(i for k in gf2._bits(x) for i in members[k]))
+        out.append(Cochain1(X, {(names[a[i]], names[b[i]]): 1 for i in gf2._bits(residual)},
+                            RING_Z2))
     return out
+
+
+def _spanning_forest(a, b, nv: int) -> np.ndarray:
+    """Mask of the edges (a[i], b[i]) on vertices 0..nv-1 that Kruskal keeps
+    when it scans them from the highest index down.  Built in Borůvka
+    rounds: each component takes its highest-index edge to another
+    component, and the components these join merge."""
+    parent = np.arange(nv)
+    tree = np.zeros(len(a), dtype=bool)
+    live = np.arange(len(a))
+    while True:
+        ra, rb = parent[a[live]], parent[b[live]]
+        cross = ra != rb
+        live, ra, rb = live[cross], ra[cross], rb[cross]
+        if not len(live):
+            return tree
+        best = np.full(nv, -1)
+        np.maximum.at(best, np.concatenate([ra, rb]), np.concatenate([live, live]))
+        chosen = best[best >= 0]
+        tree[chosen] = True
+        gf2.join(parent, a[chosen], b[chosen])
 
 
 def potential_is_consistent(steps, W, modulus=None) -> bool:

@@ -9,9 +9,11 @@ complexes never pay for dimensions nobody asks about.
 
 The array view names vertex i of the sorted vertex tuple by its index i:
 ``facet_rows`` holds the facets as sorted integer rows, one array per
-facet width, and ``edge_keys`` the edges as sorted int64 keys a·V + b with
-a < b, of which ``faces(1)`` is the label-pair view.  Every view is built
-on first read and kept in the one ``derived`` cache.  A complex on
+facet width, ``edge_keys`` the edges as sorted int64 keys a·V + b with
+a < b, and ``face_rows(k)`` the k-faces as sorted rows in lexicographic
+order (the edges read off their keys, the other dimensions from the
+facet rows), of which ``faces(k)`` is the label-tuple view.  Every view
+is built on first read and kept in the one ``derived`` cache.  A complex on
 vertices 0..V-1 can be built from its facet rows (``_from_index_rows``);
 its facet tuples are then built only when they are read.
 """
@@ -84,8 +86,8 @@ class SimplicialComplex:
         return len(self.vertices)
 
     def faces(self, k: int) -> frozenset:
-        """All k-dimensional faces (cached): the edges from ``edge_keys``,
-        the other dimensions from the facets."""
+        """All k-dimensional faces (cached), the label tuples of
+        ``face_rows(k)``."""
         if k < 0:
             return frozenset()
         return self.derived(("faces", k), lambda X: _faces(X, k))
@@ -137,6 +139,11 @@ class SimplicialComplex:
         """The edges as sorted int64 keys a·V + b over vertex indices a < b,
         V the vertex count (cached)."""
         return self.derived("edge_keys", lambda X: pair_keys(X.facet_rows(), X.num_vertices))
+
+    def face_rows(self, k: int) -> np.ndarray:
+        """The k-faces as sorted rows of vertex indices, in lexicographic
+        order, which is the order of ``sorted(faces(k))`` (cached)."""
+        return self.derived(("face_rows", k), lambda X: _face_rows(X, k))
 
     def derived(self, key, build):
         """``build(self)``, computed on the first call for ``key`` and cached;
@@ -203,14 +210,18 @@ def _row_facets(X: SimplicialComplex) -> tuple:
 
 
 def _faces(X: SimplicialComplex, k: int) -> frozenset:
-    if k == 1:
-        keys = X.edge_keys()
-        return frozenset(_as_tuples(np.column_stack(np.divmod(keys, X.num_vertices)),
-                                    X.vertices))
-    acc = set()
-    for f in X.facets:
-        acc.update(combinations(f, k + 1))
-    return frozenset(acc)
+    return frozenset(_as_tuples(X.face_rows(k), X.vertices))
+
+
+def _face_rows(X: SimplicialComplex, k: int) -> np.ndarray:
+    if k == 1:  # the edges are derived once, as keys
+        return np.column_stack(np.divmod(X.edge_keys(), X.num_vertices))
+    parts = [R[:, cols] for R in X.facet_rows() if R.shape[1] > k
+             for cols in map(list, combinations(range(R.shape[1]), k + 1))]
+    rows = np.concatenate(parts) if parts else np.empty((0, k + 1), dtype=np.int64)
+    keys = lex_keys(rows, X.num_vertices)
+    order = np.argsort(keys)
+    return rows[order[run_starts(keys[order])]]
 
 
 def _adjacency(X: SimplicialComplex) -> dict:
@@ -239,6 +250,27 @@ def run_starts(rows) -> np.ndarray:
     change = rows[1:] != rows[:-1]
     starts[1:] = change if change.ndim == 1 else change.any(axis=1)
     return starts
+
+
+def runs(keys: np.ndarray) -> tuple:
+    """Start and length of each run of equal entries of a sorted 1-D array."""
+    bounds = np.flatnonzero(np.append(run_starts(keys), True))
+    return bounds[:-1], np.diff(bounds)
+
+
+def lex_keys(rows: np.ndarray, base: int) -> np.ndarray:
+    """One int64 key per row of a 2-D array of integers in [0, base): equal
+    for equal rows, and ordered as the rows are lexicographically.  A key
+    packs its row in base ``base``; where the next column would pass
+    2**63, the prefix packed so far is first replaced by its rank among the
+    rows' distinct prefixes, so no key overflows."""
+    keys = np.zeros(len(rows), dtype=np.int64)
+    for j in range(rows.shape[1]):
+        if len(keys) and (int(keys.max()) + 1) * base > 2 ** 63:
+            ranks = np.sort(keys)
+            keys = np.searchsorted(ranks[run_starts(ranks)], keys)
+        keys = keys * base + rows[:, j]
+    return keys
 
 
 def pair_keys(groups, nv: int) -> np.ndarray:
@@ -333,7 +365,11 @@ def induced(X: SimplicialComplex, W) -> InducedSubcomplex:
     W = frozenset(_vertex_set(W))
     unknown = [v for v in W if not X.has_vertex(v)]
     if unknown:
-        raise UnknownVertexError(f"vertices not in complex: {sorted(unknown)!r}")
+        try:
+            unknown.sort()
+        except TypeError:  # labels that cannot be ordered: listed by their repr
+            unknown.sort(key=repr)
+        raise UnknownVertexError(f"vertices not in complex: {unknown!r}")
     return InducedSubcomplex(X, W)
 
 

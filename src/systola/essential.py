@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from itertools import compress
 
 from .cochains import RING_Z, Cochain1, potential_is_consistent
 from .complexes import SimplicialComplex
@@ -212,8 +213,11 @@ def combinatorial_essentiality(X: SimplicialComplex, n: int,
     m = len(vertices)
     n = min(n, m)
 
+    bit_flags = bytes.maketrans(b"01", b"\0\1")
+
     def members(mask):
-        return frozenset([vertices[i] for i in _bits(mask)])
+        # the bits of mask, lowest first, as 0/1 bytes that pick the vertices
+        return frozenset(compress(vertices, bin(mask)[:1:-1].encode().translate(bit_flags)))
 
     class Verdicts(dict):
         def __missing__(self, mask):

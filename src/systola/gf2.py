@@ -1,21 +1,41 @@
-"""GF(2) linear algebra on integer bitsets.
+"""GF(2) linear algebra on integer bitsets, and contraction on index arrays.
 
 ``Echelon`` and ``kernel_basis`` take vectors as Python ints, bit i
 coordinate i.  Elimination always pivots on the lowest set bit, so every
-reduction is deterministic.  ``in_span`` takes each vector as its
-support, a sequence of coordinates, and builds ints only for the
-projections that the contraction leaves.
+reduction is deterministic.
 
-``Contraction`` is the one union-find over coordinates, with a ground
-class.  Its ``peel`` contracts the vectors (as coordinate lists) of weight
-at most 2 -- weight 1 grounds a coordinate, weight 2 joins two -- and
-repeats on the projections of the rest until nothing changes.  Modulo
-what was contracted a vector is its parity on each ungrounded class, so
-only the projections left with weight 3 or more are eliminated.
-``in_span`` decides membership this way; a top-degree class on a
-pseudomanifold has only weight-2 columns and is decided by union-find
-alone.  ``cochains.h1_basis`` peels the triangle system after grounding
-a spanning forest's edges.
+Contraction works on a ``parent`` array over coordinates 1..n-1 with the
+ground class at index 0, every entry its root between calls.  ``join``
+hooks the larger root of each pair under the smaller one (``np.minimum.at``)
+and jumps pointers until stable, so the ground, the least index, is always
+the root of its class.  ``peel`` takes many vectors at once, each as the
+coordinates of its support, given as (support id, coordinate) arrays.
+Modulo what was contracted a vector is its parity on each ungrounded class,
+its projection: one sort of the packed (id, root) keys per pass, keeping
+the runs of odd length with a root other than 0.  A pass then contracts
+every support whose projection has weight at most 2 -- weight 1 grounds
+its class, weight 2 joins its two -- and passes repeat on the rest until
+one contracts nothing.
+
+Batch passes reach the classes that contracting one support at a time
+reaches.  Merging classes never raises a projected weight (the parity on
+a merged class is the sum of the parities on its parts), so a support of
+weight at most 2 under some classes has weight at most 2 under every
+coarser one.  Call classes closed when they are coarser than the classes
+given and every support projects onto them with weight 0 or at least 3.
+Take any closed classes C.  While the current classes are finer than C,
+the next join, in either order, is made for a support of weight at most
+2 under them, so under C too, so of weight 0 under C: the join lies
+inside C, and the classes stay finer than C.  Both orders stop at closed
+classes, each contracted support of weight 0 and the rest of weight at
+least 3, so both stop at the least closed classes: the same partition
+and ground set, leaving the same supports.
+
+``in_span`` decides membership this way and eliminates only the
+projections left; a top-degree class on a pseudomanifold has only
+weight-2 columns and is decided by contraction alone.
+``cochains.h1_basis`` peels the triangle system after grounding a
+spanning forest's edges.
 
 ``kernel_basis`` eliminates without reducing above the pivots, then
 solves for every pivot coordinate in one descending pass, carrying all
@@ -24,7 +44,10 @@ kernel vectors at once as bitsets over the free coordinates.
 
 from __future__ import annotations
 
-_GROUND = -1
+import numpy as np
+
+from .complexes import runs
+from .errors import CapacityError
 
 
 class Echelon:
@@ -79,92 +102,85 @@ def _vector(support) -> int:
     return x
 
 
-class Contraction:
-    """Union-find over coordinates with a ground class that stays a root.
+def _vectors(ids: np.ndarray, coords: np.ndarray) -> list[int]:
+    """One int per run of equal ids, with the bits of that run's coords."""
+    coords = coords.tolist()
+    starts, lengths = runs(ids)
+    return [_vector(coords[i:i + n]) for i, n in zip(starts.tolist(), lengths.tolist())]
 
-    Modulo the span of the supports joined so far, a vector equals its
-    parity on each ungrounded class (``project``).
+
+def join(parent: np.ndarray, a, b) -> None:
+    """Merge the classes of a[i] and b[i] for every i.  Every entry of
+    parent is its root before and after; the larger root of a pair hooks
+    under the smaller, so index 0, the ground, stays a root."""
+    a, b = parent[a], parent[b]
+    while True:
+        apart = a != b
+        if not apart.any():
+            return
+        lo, hi = np.minimum(a[apart], b[apart]), np.maximum(a[apart], b[apart])
+        np.minimum.at(parent, hi, lo)
+        while True:  # jump pointers until every entry is its root
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent[:] = up
+        a, b = parent[lo], parent[hi]
+
+
+def _odd_runs(keys: np.ndarray) -> np.ndarray:
+    """The values that occur an odd number of times in sorted keys, ascending."""
+    starts, lengths = runs(keys)
+    return keys[starts[lengths % 2 == 1]]
+
+
+def peel(parent: np.ndarray, ids, coords) -> tuple:
+    """Contract the supports of weight at most 2 into parent, to a fixpoint.
+
+    Support s is the coordinates coords[i] with ids[i] == s (indices into
+    parent, so never 0; a repeated coordinate counts twice).  Each pass
+    projects the remaining supports onto the current classes, grounds the
+    class of each one left with weight 1 and joins the two of each one
+    left with weight 2.  Returns the rest as (ids, roots), sorted by id
+    and then root: each projected onto the final classes, of weight at
+    least 3, and modulo what was contracted spanning what the supports do.
     """
-
-    __slots__ = ("parent",)
-
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, i):
-        parent = self.parent
-        root = parent.get(i, i)
-        if root == i or parent.get(root, root) == root:
-            return root
-        while (up := parent.get(root, root)) != root:
-            root = up
-        while i != root:
-            parent[i], i = root, parent[i]
-        return root
-
-    def join(self, a, b=_GROUND) -> bool:
-        """Merge the classes of a and b (b the ground by default); True iff
-        they were apart.  The ground stays a root."""
-        a, b = self.find(a), self.find(b)
-        if a == b:
-            return False
-        if a == _GROUND:
-            a, b = b, a
-        self.parent[a] = b
-        return True
-
-    def project(self, support) -> set:
-        """Roots of the ungrounded classes that support meets an odd number
-        of times."""
-        get = self.parent.get
-        odd = set()
-        for i in support:
-            r = get(i, i)
-            if get(r, r) != r:
-                r = self.find(r)
-            if r in odd:
-                odd.remove(r)
-            elif r != _GROUND:
-                odd.add(r)
-        return odd
-
-    def peel(self, supports) -> list:
-        """Contract the supports (coordinate sequences) of weight at most 2.
-
-        A support of weight 1 grounds its class, one of weight 2 merges its
-        two classes.  Each pass projects the remaining supports onto the
-        current classes and contracts those left with weight at most 2;
-        passes repeat until one contracts nothing.  Returns the rest,
-        projected onto the final roots and each of weight at least 3:
-        modulo what was contracted they span what the supports do.
-        """
-        join, project = self.join, self.project
-        heavy = supports
-        while True:
-            rest = []
-            for s in heavy:
-                if len(s) > 2:
-                    s = project(s)
-                    if len(s) > 2:
-                        rest.append(s)
-                        continue
-                if s:
-                    join(*s)
-            if len(rest) == len(heavy):
-                return rest
-            heavy = rest
+    ids, coords = np.asarray(ids, dtype=np.int64), np.asarray(coords, dtype=np.int64)
+    n = len(parent)
+    if len(ids) and (int(ids.max()) + 1) * n > 2 ** 63:
+        raise CapacityError("support ids times coordinates must stay below 2**63")
+    while True:
+        keys = _odd_runs(np.sort(ids * n + parent[coords]))
+        ids, roots = np.divmod(keys, n)
+        kept = roots != 0
+        ids, roots = ids[kept], roots[kept]
+        starts, weight = runs(ids)
+        if (weight > 2).all():
+            return ids, roots
+        one, two = starts[weight == 1], starts[weight == 2]
+        join(parent, np.concatenate([roots[one], roots[two]]),
+             np.concatenate([np.zeros(len(one), dtype=np.int64), roots[two + 1]]))
+        heavy = np.repeat(weight > 2, weight)
+        ids, coords = ids[heavy], roots[heavy]
 
 
-def in_span(supports: list, target) -> bool:
-    """True iff target is a sum of some of the vectors with these supports.
+def in_span(weights, coords, target) -> bool:
+    """True iff target is a sum of some of the given vectors.
 
-    Each vector, and target, is given as its support, a sequence of
-    coordinates."""
-    uf = Contraction()
+    Vector i is the support of weights[i] coordinates, the next ones in
+    coords after those of the vectors before it; target is a sequence of
+    coordinates too.  Coordinates are nonnegative integers.
+    """
+    weights = np.asarray(weights, dtype=np.int64)
+    coords = np.asarray(coords, dtype=np.int64) + 1  # index 0 is the ground
+    target = np.asarray(target, dtype=np.int64) + 1
+    parent = np.arange(1 + max(coords.max(initial=0), target.max(initial=0)))
+    ids, roots = peel(parent, np.repeat(np.arange(len(weights)), weights), coords)
     ech = Echelon()
-    for s in uf.peel(supports):
-        ech.insert(_vector(s))
-    return ech.reduce(_vector(uf.project(target))) == 0
+    for vec in _vectors(ids, roots):
+        ech.insert(vec)
+    odd = _odd_runs(np.sort(parent[target]))  # the target's projection, and the ground
+    return ech.reduce(_vector(odd[odd != 0].tolist())) == 0
 
 
 def kernel_basis(constraints, n_cols: int) -> list[int]:

@@ -251,6 +251,83 @@ def brute_in_span(vectors, target):
     return ech.reduce(target) == 0
 
 
+class ReferenceContraction:
+    """Sequential reference for ``gf2.peel``: a dict union-find over
+    coordinates with a ground class, contracting one support at a time."""
+
+    GROUND = -1
+
+    def __init__(self, grounded=()):
+        self.parent = {}
+        for i in grounded:
+            self.join(i)
+
+    def find(self, i):
+        while self.parent.get(i, i) != i:
+            i = self.parent[i]
+        return i
+
+    def join(self, a, b=GROUND):
+        """Merge the classes of a and b (the ground by default); the ground
+        stays a root."""
+        a, b = self.find(a), self.find(b)
+        if a != b:
+            if a == self.GROUND:
+                a, b = b, a
+            self.parent[a] = b
+
+    def project(self, support):
+        """Roots of the ungrounded classes that support meets an odd number
+        of times."""
+        odd = set()
+        for i in support:
+            odd ^= {self.find(i)}
+        odd.discard(self.GROUND)
+        return odd
+
+    def peel(self, supports):
+        """Contract the supports (coordinate sequences) one at a time: weight
+        1 grounds its coordinate, weight 2 joins its two, and a longer one
+        is projected first and contracted if that leaves at most 2.  Passes
+        repeat until one contracts nothing; returns the rest, projected,
+        each of weight at least 3."""
+        heavy = supports
+        while True:
+            rest = []
+            for s in heavy:
+                if len(s) > 2:
+                    s = self.project(s)
+                    if len(s) > 2:
+                        rest.append(s)
+                        continue
+                if s:
+                    self.join(*s)
+            if len(rest) == len(heavy):
+                return rest
+            heavy = rest
+
+
+def kruskal_forest(edges, nv):
+    """Indices of the edges that Kruskal keeps scanning from the highest
+    index down, with a dict union-find over the vertices 0..nv-1."""
+    uf = ReferenceContraction()
+    kept = set()
+    for i in range(len(edges) - 1, -1, -1):
+        a, b = edges[i]
+        if uf.find(a) != uf.find(b):
+            uf.join(a, b)
+            kept.add(i)
+    return kept
+
+
+def brute_cup_power(classes):
+    """Support of the Alexander-Whitney product: every n-face of
+    ``faces(n)`` on which each class k is 1 on the edge (v_{k-1}, v_k)."""
+    X, n = classes[0].complex, len(classes)
+    return {f for f in X.faces(n)
+            if all(c.value(f[k], f[k + 1]) for k, c in enumerate(classes))}
+
+
 def brute_class_is_nonzero(c):
     """Nonzero test by plain elimination: every coboundary column an int with
     one bit per k-face, the target tested with ``brute_in_span``."""

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 import random
 
 import numpy as np
@@ -11,8 +12,9 @@ import systola as sy
 from systola.cochains import coboundary, vertex_coboundary
 from systola.errors import CocycleError, DimensionError, DomainError, ParameterError
 
-from oracles import (brute_class_is_nonzero, brute_is_cocycle, brute_restriction_is_zero,
-                     parity_class_is_nonzero, reference_h1_basis)
+from oracles import (brute_class_is_nonzero, brute_cup_power, brute_is_cocycle,
+                     brute_restriction_is_zero, kruskal_forest, parity_class_is_nonzero,
+                     reference_h1_basis)
 
 
 def _random_cochain(X, rng, ring=sy.RING_Z2):
@@ -254,6 +256,23 @@ def test_h1_basis_on_graphs_and_disconnected_complexes(facets):
         assert len(basis) == rank
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 31))
+def test_boruvka_forest_is_kruskals(seed):
+    """On graphs with several components and isolated vertices, edges in
+    key order or shuffled: the Borůvka forest keeps the edges that Kruskal
+    keeps from the highest index down."""
+    rng = random.Random(seed)
+    nv = rng.randint(1, 14)
+    pairs = [(a, b) for a in range(nv) for b in range(a + 1, nv)
+             if rng.random() < rng.choice([0.1, 0.3, 0.7])]
+    if rng.random() < 0.5:
+        rng.shuffle(pairs)
+    edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    tree = sy.cochains._spanning_forest(edges[:, 0], edges[:, 1], nv)
+    assert set(np.flatnonzero(tree).tolist()) == kruskal_forest(pairs, nv)
+
+
 def test_h1_basis_members_are_noncoboundary_cocycles(rp2, torus7):
     for X in (rp2, torus7):
         for c in sy.h1_basis(X):
@@ -471,3 +490,57 @@ def test_class_is_nonzero_matches_plain_elimination(key, nonzero):
         assert sy.class_is_nonzero(dg) is brute_class_is_nonzero(dg) is False
         shifted = sy.CochainK(X, k, c.support ^ dg.support)
         assert sy.class_is_nonzero(shifted) == brute_class_is_nonzero(shifted) == nonzero
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 31))
+def test_cup_and_class_test_match_the_face_loop_and_plain_elimination(seed):
+    """Products of H^1 classes, shifted by coboundaries, in every degree up
+    to the top one, and cochains with random supports: the cup's support is
+    the Alexander-Whitney loop over ``faces(n)`` and the verdict that of
+    plain elimination."""
+    rng = random.Random(seed)
+    X = _random_complex(rng)
+    basis = sy.h1_basis(X)
+    if basis and X.dim >= 1:
+        n = rng.randint(1, min(X.dim, 3))
+        classes = [rng.choice(basis) for _ in range(n)]
+        classes = [c + vertex_coboundary(X, {v: rng.randrange(2) for v in X.vertices})
+                   if rng.random() < 0.5 else c for c in classes]
+        cup = sy.cup_power(classes)
+        assert cup.degree == n and cup.support == brute_cup_power(classes)
+        assert sy.class_is_nonzero(cup) == brute_class_is_nonzero(cup)
+    for k in range(1, X.dim + 1):
+        faces = sorted(X.faces(k))
+        c = sy.CochainK(X, k, [f for f in faces if rng.random() < 0.4])
+        assert sy.class_is_nonzero(c) == brute_class_is_nonzero(c)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 31))
+def test_face_rows_are_the_sorted_faces(seed):
+    X = _random_complex(random.Random(seed))
+    index = X.vertex_index()
+    for k in range(X.dim + 2):
+        rows = X.face_rows(k)
+        assert rows.shape[1] == k + 1
+        assert rows.tolist() == [[index[v] for v in f] for f in sorted(X.faces(k))]
+
+
+def test_face_keys_rank_prefixes_instead_of_overflowing():
+    # a strip of triangles (i, i+1, i+2) on V vertices and the boundary of
+    # a 5-simplex on six of them, no three consecutive: a 4-sphere whose
+    # row keys in base V would pass 2**63, so they rank their prefixes
+    V = 50_000
+    assert V ** 5 > 2 ** 63
+    i = np.arange(V - 2)
+    S = [0, 2, 4, V - 5, V - 3, V - 1]
+    sphere = np.array([f for f in itertools.combinations(S, 5)])
+    X = sy.SimplicialComplex._from_index_rows([np.column_stack([i, i + 1, i + 2]), sphere], V)
+    assert X.face_rows(4).tolist() == sorted(map(list, X.faces(4)))
+    assert X.face_rows(3).tolist() == sorted(map(list, X.faces(3)))
+    assert X.face_rows(4).tolist() == sphere.tolist()  # combinations come sorted
+    for ids, nonzero in [([4], True), ([0, 1], False), ([1, 2, 3, 4, 5], True)]:
+        c = sy.CochainK(X, 4, map(tuple, sphere[ids]))
+        assert sorted(c._face_ids().tolist()) == ids
+        assert sy.class_is_nonzero(c) is brute_class_is_nonzero(c) is nonzero

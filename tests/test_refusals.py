@@ -84,6 +84,9 @@ CASES = {
     "induced_on_an_int":
         (lambda: sy.induced(RP2, 5), UnknownVertexError,
          "5 is not a collection of vertex labels"),
+    "induced_on_unknown_labels_of_mixed_types":
+        (lambda: sy.induced(RP2, ["a", 99]), UnknownVertexError,
+         r"vertices not in complex: \['a', 99\]"),
     "restriction_to_unhashable_vertices":
         (lambda: sy.restriction_is_zero(RP2_CLASS, [[1]]), UnknownVertexError,
          r"\[\[1\]\] is not a collection of vertex labels"),
@@ -96,6 +99,11 @@ CASES = {
     "cochain_k_face_outside":
         (lambda: sy.CochainK(SQUARE, 1, [(0, 2)]), DomainError,
          r"\(0, 2\) is not a 1-face of the complex"),
+    "cochain_k_on_a_non_face":
+        (lambda: sy.CochainK(RP2, 1, [5]), DomainError, "5 is not a 1-face of the complex"),
+    "cochain_k_on_unorderable_labels":
+        (lambda: sy.CochainK(RP2, 1, [(1, "a")]), DomainError,
+         r"\(1, 'a'\) is not a 1-face of the complex"),
     "homology_radius_of_an_integer_class":
         (lambda: sy.homology_triviality_radius(SQUARE, [XZ]), ParameterError,
          "homology triviality radius works over Z2 classes"),
