@@ -206,7 +206,7 @@ def _as_tuples(rows: np.ndarray, names) -> list:
 def _row_facets(X: SimplicialComplex) -> tuple:
     # the vertices are sorted, so sorted index rows give sorted label tuples
     return tuple(f for R in X.facet_rows()
-                 for f in _as_tuples(R[np.lexsort(R.T[::-1])], X.vertices))
+                 for f in _as_tuples(R[np.argsort(lex_keys(R, X.num_vertices))], X.vertices))
 
 
 def _faces(X: SimplicialComplex, k: int) -> frozenset:
@@ -275,12 +275,13 @@ def lex_keys(rows: np.ndarray, base: int) -> np.ndarray:
 
 def pair_keys(groups, nv: int) -> np.ndarray:
     """The distinct vertex pairs of sorted index rows as sorted int64 keys
-    a·nv + b (a < b), over every array of rows in ``groups``."""
+    a·nv + b (a < b), over every array of rows in ``groups``; built and
+    sorted as int32 while nv² < 2**31, which sorts faster."""
+    dtype = np.int32 if nv * nv < 2 ** 31 else np.int64
     keys = np.sort(np.concatenate(
-        [R[:, i].astype(np.int64) * nv + R[:, j]
-         for R in groups for i, j in combinations(range(R.shape[1]), 2)]
-        or [np.empty(0, dtype=np.int64)]))
-    return keys[run_starts(keys)]
+        [R[:, i] * nv + R[:, j] for R in (G.astype(dtype, copy=False) for G in groups)
+         for i, j in combinations(range(R.shape[1]), 2)] or [np.empty(0, dtype=dtype)]))
+    return keys[run_starts(keys)].astype(np.int64)
 
 
 def build_complex(facets) -> SimplicialComplex:

@@ -16,9 +16,16 @@ total space from (x, 0) to (x, g), over base vertices x and g != 0.  The
 scan finds it by a bit-parallel BFS (Then et al., "The More the Merrier:
 Efficient Multi-Source Graph Traversal", VLDB 2014): the sources (x, 0)
 go 64 at a time, one bit of a uint64 word each, and one BFS level ORs
-the frontier words over every vertex's neighbours.  A word column stops
-at the first level at which some source x reaches one of its own (x, g),
-when its frontier empties, or at the least L found by an earlier column.
+the frontier words over every vertex's neighbours.  It meets in the middle
+(Pohl's bidirectional search, one BFS serving both ends): lift a shortest
+nontrivial loop at x, of length l, from (x, 0) to (x, g), with midpoint
+(y, a).  The deck map by -g is an isometry, so y is reached on the sheets
+a and a - g within ceil(l/2) and floor(l/2) levels; conversely y reached
+on sheets a != b at levels d_a and d_b closes a nontrivial loop of length
+d_a + d_b at x.  So at level h a bit new at y on one sheet and seen there
+before on another gives 2h - 1, and a bit new at y on two sheets 2h.  A
+word column stops at its first such level, when its frontier empties, or
+once 2h - 1 reaches the least L found by an earlier column.
 The homotopy triviality radius is floor(L/2) - 1 (inf when L is):
 
 * A shortest nontrivial loop through x lies in B(x, floor(L/2)), so that
@@ -224,22 +231,29 @@ def _holonomy_scan(C: Cover):
     starts = graph.indptr[rows]
     systole, centre = INFINITY, None
     for lo in range(0, nv, 64):
-        sources = np.arange(lo, min(lo + 64, nv))
-        bits = np.uint64(1) << np.arange(len(sources), dtype=np.uint64)
         front = np.zeros(nv * F, dtype=np.uint64)
-        front[sources * F] = bits
-        seen = front.copy()
+        bits = np.arange(min(64, nv - lo), dtype=np.uint64)
+        front[lo * F:(lo + 64) * F:F] = np.uint64(1) << bits
+        seen, met = front.copy(), front[::F].copy()  # met: the bits seen at a vertex, any sheet
         level = 1
-        while level < systole and front.any():
+        while 2 * level - 1 < systole and front.any():
             reached = np.zeros_like(front)
             reached[rows] = np.bitwise_or.reduceat(front[graph.indices], starts)
             reached &= ~seen
             seen |= reached
-            # bit x at (x, g != 0): a nontrivial loop of this length at x
-            hit = (reached.reshape(nv, F)[sources, 1:] & bits[:, None]).any(axis=1)
-            if hit.any():
-                systole, centre = level, int(sources[hit.argmax()])
+            # the bits new at each base vertex on some sheet (once) and on two (twice)
+            new = reached.reshape(nv, F)
+            once, twice = new[:, 0].copy(), np.zeros(nv, dtype=np.uint64)
+            for a in range(1, F):
+                twice |= once & new[:, a]
+                once |= new[:, a]
+            odd, even = (int(np.bitwise_or.reduce(w)) for w in (once & met, twice))
+            if odd or even:  # loops of length 2·level - 1 and 2·level
+                length, hit = (2 * level - 1, odd) if odd else (2 * level, even)
+                if length < systole:  # the lowest source bit of the hit
+                    systole, centre = length, lo + (hit & -hit).bit_length() - 1
                 break
+            met |= once
             front = reached
             level += 1
     if centre is not None:

@@ -43,7 +43,7 @@ from itertools import combinations
 import numpy as np
 
 from .cochains import RING_Z2, Cochain1
-from .complexes import SimplicialComplex, _as_tuples, pair_keys, run_starts
+from .complexes import SimplicialComplex, _as_tuples, lex_keys, pair_keys, run_starts
 from .errors import CapacityError, ParameterError, QuotientError, require_int
 
 MAX_QUOTIENT_FACETS = 10 ** 6
@@ -237,7 +237,7 @@ def quotient(sc: SymmetricComplex):
     rows, conflicts = [], 0
     for F in groups:
         R = np.sort(qid[F], axis=1)
-        R = R[np.lexsort(R.T[::-1])]
+        R = R[np.argsort(lex_keys(R, nq))]
         starts = np.flatnonzero(run_starts(R))
         conflicts += int((np.diff(np.append(starts, len(R))) != 2).sum())
         rows.append(R[starts])

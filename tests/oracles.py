@@ -133,6 +133,33 @@ def brute_cover_trivial_over(cover, W):
     return True
 
 
+def brute_loop_lengths(cover):
+    """Oracle: base vertex x -> the least length of a nontrivial loop at x
+    (inf if none), the least dict-BFS distance from (x, 0) to some (x, g),
+    g != 0, in a total graph built edge by edge from ``cocycle.value``."""
+    N = cover.fiber
+    adj = {}
+    for u, v in cover.base.faces(1):
+        g = cover.cocycle.value(u, v)
+        for s in range(N):
+            t = (s + g) % N
+            adj.setdefault((u, s), []).append((v, t))
+            adj.setdefault((v, t), []).append((u, s))
+    lengths = {}
+    for x in cover.base.vertices:
+        dist = {(x, 0): 0}
+        queue = deque([(x, 0)])
+        while queue:
+            p = queue.popleft()
+            for q in adj.get(p, ()):
+                if q not in dist:
+                    dist[q] = dist[p] + 1
+                    queue.append(q)
+        lengths[x] = min((dist[(x, g)] for g in range(1, N) if (x, g) in dist),
+                         default=sy.INFINITY)
+    return lengths
+
+
 def brute_homotopy_radius(cover):
     """Oracle radius: scan balls by brute force with the preimage check."""
     X = cover.base

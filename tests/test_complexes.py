@@ -1,7 +1,12 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import systola as sy
+from systola.complexes import lex_keys, pair_keys, run_starts
 from systola.errors import DimensionError, MalformedFaceError, UnknownVertexError
 
 
@@ -166,3 +171,42 @@ def test_row_built_complex_takes_rows_in_any_order():
     assert np.array_equal(X.edge_keys(), tuples.edge_keys())
     for R, given in zip(X.facet_rows(), rows):  # kept as given
         assert np.issubdtype(R.dtype, np.integer) and np.array_equal(R, given)
+
+
+@pytest.mark.parametrize("nv, width", [(46340, np.int32), (46341, np.int64), (46342, np.int64),
+                                       (10 ** 6, np.int64)])
+def test_pair_keys_switch_to_int64_keys_where_nv_squared_reaches_2_31(monkeypatch, nv, width):
+    # rows on the top 40 indices and a few low ones, (nv - 2, nv - 1) included:
+    # at 46,342 its key nv² - nv - 1 would wrap in int32
+    rng = np.random.default_rng(nv)
+    pool = np.r_[0:5, nv - 40:nv]
+    rows = np.array([np.sort(rng.choice(pool, 3, replace=False)) for _ in range(60)]
+                    + [[0, nv - 2, nv - 1]])
+    groups = [rows[:30].astype(np.int32), rows[30:], rows[:10, :2]]
+    brute = sorted({a * nv + b for R in groups for row in R.tolist()
+                    for a, b in combinations(row, 2)})
+    dtypes = []
+    real_sort = np.sort
+    monkeypatch.setattr(np, "sort", lambda a, *args, **kw: dtypes.append(a.dtype)
+                        or real_sort(a, *args, **kw))
+    keys = pair_keys(groups, nv)
+    assert dtypes == [np.dtype(width)]  # the keys are built and sorted at this width
+    assert keys.dtype == np.int64 and keys.tolist() == brute
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_row_keys_order_rows_as_lexsort_does(data):
+    # bases of 2**20 and up with three or more columns, or 2**32 and up with
+    # two, would pass 2**63, so there lex_keys ranks its prefixes
+    base = data.draw(st.one_of(st.integers(1, 6), st.integers(2 ** 20, 2 ** 50)))
+    width = data.draw(st.integers(1, 6))
+    dtype = np.int32 if base < 2 ** 31 and data.draw(st.booleans()) else np.int64
+    rows = np.array(data.draw(st.lists(st.lists(st.integers(0, base - 1), min_size=width,
+                                                max_size=width), max_size=40)),
+                    dtype=dtype).reshape(-1, width)
+    keys = lex_keys(rows, base)
+    order = np.argsort(keys)
+    assert np.array_equal(rows[order], rows[np.lexsort(rows.T[::-1])])
+    # equal keys exactly for equal rows
+    assert np.array_equal(np.diff(keys[order]) > 0, run_starts(rows[order])[1:])

@@ -13,7 +13,7 @@ from systola.complexes import _bfs
 from systola.covers import _check_witness, _holonomy_scan, _mask_mixes_fibers
 from systola.errors import CapacityError, CocycleError, ParameterError, UnknownVertexError
 
-from oracles import brute_cover_trivial_over, brute_homotopy_radius, \
+from oracles import brute_cover_trivial_over, brute_homotopy_radius, brute_loop_lengths, \
     integer_restriction_is_zero
 
 
@@ -496,6 +496,45 @@ def test_scan_centre_across_word_columns(fiber):
     assert scan(list(range(10, 15)), list(range(100, 105))) == (5, 1, 10)
     # equal loops within one column: the first hit wins
     assert scan(list(range(20, 25)), list(range(3, 8))) == (5, 1, 3)
+
+
+def _lowest_centre(cov):
+    """The oracle's least loop length and the lowest base vertex attaining
+    it (None when there is no loop)."""
+    lengths = brute_loop_lengths(cov)
+    L = min(lengths.values())
+    return L, None if L == sy.INFINITY else min(v for v, ell in lengths.items() if ell == L)
+
+
+@pytest.mark.parametrize("fiber", [3, 5])
+@pytest.mark.parametrize("L", [5, 6, 7, 8])
+def test_meet_in_the_middle_scan_at_odd_and_even_lengths(fiber, L):
+    # a path 0..99 whose chords each close one nontrivial loop, given as
+    # (lowest vertex, length, holonomy); the second word column starts at 64
+    def scan(loops):
+        vals = {(lo, lo + length - 1): g for lo, length, g in loops}
+        X = sy.build_complex([[i, i + 1] for i in range(99)] + [list(e) for e in vals])
+        cov = sy.build_cover(X, sy.Cochain1(X, vals, sy.RING_Z), fiber)
+        systole, radius, centre = _holonomy_scan(cov)
+        assert (systole, X.vertices[centre]) == _lowest_centre(cov)
+        assert radius == systole // 2 - 1
+        return systole, X.vertices[centre]
+
+    # the second column beats the first column's L + 1, at its lowest vertex
+    assert scan([(0, L + 1, 1), (70, L, 1), (85, L, 2)]) == (L, 70)
+    # with a loop of length L in the first column too, its lowest vertex wins
+    assert scan([(0, L + 1, 1), (30, L, 1), (70, L, 1), (85, L, 2)]) == (L, 30)
+    # a loop of the same length in a later column does not replace it
+    assert scan([(5, L, 2), (70, L, 1)]) == (L, 5)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.one_of(_graph_cochains(), _wide_graph_cochains()))
+def test_scan_centre_is_the_lowest_vertex_attaining_the_systole(case):
+    X, xi, fiber = case
+    cov = sy.build_cover(X, xi, fiber)
+    L, _, centre = _holonomy_scan(cov)
+    assert (L, None if centre is None else X.vertices[centre]) == _lowest_centre(cov)
 
 
 def test_edgeless_complex_has_no_loop():
