@@ -45,7 +45,7 @@ class Cochain1:
         index = complex.vertex_index()
         nv = complex.num_vertices
         keyed, vals = {}, {}  # each given edge, sorted, to its key a·V + b; the nonzero values
-        for e, v in values.items():
+        for e, v in _items(values, "the cochain values"):
             try:
                 e = tuple(sorted(e))
                 a, b = e
@@ -122,8 +122,13 @@ class CochainK:
     __slots__ = ("complex", "degree", "support", "_ids")
 
     def __init__(self, complex: SimplicialComplex, degree: int, support):
+        degree = require_int(degree, "degree")
         faces = complex.faces(degree)
         supp = set()
+        try:
+            support = list(support)
+        except TypeError:
+            raise ParameterError(f"a cochain's support must be iterable, got {support!r}") from None
         for f in support:
             try:
                 f = tuple(sorted(f))
@@ -172,12 +177,21 @@ class CochainK:
 
 
 def vertex_coboundary(X: SimplicialComplex, g, ring: str = RING_Z2) -> Cochain1:
-    """The coboundary of a 0-cochain g (a dict vertex -> value)."""
+    """The coboundary of a 0-cochain g (a dict vertex -> integer value)."""
+    g = {v: require_int(x, f"the value at {v!r}") for v, x in _items(g, "the 0-cochain")}
     vals = {}
     for u, v in X.faces(1):
         a, b = g.get(u, 0), g.get(v, 0)
         vals[(u, v)] = (a + b) % 2 if ring == RING_Z2 else b - a
     return Cochain1(X, vals, ring)
+
+
+def _items(values, what: str):
+    """``values.items()``; refused with ``ParameterError`` if not a mapping."""
+    try:
+        return values.items()
+    except AttributeError:
+        raise ParameterError(f"{what} must be a mapping, got {type(values).__name__}") from None
 
 
 def is_cocycle(c: Cochain1) -> bool:

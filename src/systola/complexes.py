@@ -26,7 +26,7 @@ from itertools import combinations, groupby, permutations
 
 import numpy as np
 
-from .errors import DimensionError, MalformedFaceError, UnknownVertexError
+from .errors import DimensionError, MalformedFaceError, UnknownVertexError, require_int
 
 Face = tuple
 
@@ -261,15 +261,17 @@ def runs(keys: np.ndarray) -> tuple:
 def lex_keys(rows: np.ndarray, base: int) -> np.ndarray:
     """One int64 key per row of a 2-D array of integers in [0, base): equal
     for equal rows, and ordered as the rows are lexicographically.  A key
-    packs its row in base ``base``; where the next column would pass
-    2**63, the prefix packed so far is first replaced by its rank among the
-    rows' distinct prefixes, so no key overflows."""
+    packs its row in base ``base``; where the next column could reach
+    2**63, each key becomes instead the rank of its (prefix, column) pair
+    among the rows' distinct pairs, so no key overflows for any base."""
     keys = np.zeros(len(rows), dtype=np.int64)
     for j in range(rows.shape[1]):
-        if len(keys) and (int(keys.max()) + 1) * base > 2 ** 63:
-            ranks = np.sort(keys)
-            keys = np.searchsorted(ranks[run_starts(ranks)], keys)
-        keys = keys * base + rows[:, j]
+        if len(keys) and (int(keys.max()) + 1) * base >= 2 ** 63:
+            pairs = np.stack([keys, rows[:, j]], axis=1)
+            order = np.lexsort((pairs[:, 1], keys))
+            keys[order] = np.cumsum(run_starts(pairs[order])) - 1
+        else:
+            keys = keys * base + rows[:, j]
     return keys
 
 
@@ -399,6 +401,7 @@ def f_vector(X: SimplicialComplex) -> FVector:
 
 def skeleton(X: SimplicialComplex, k: int) -> SimplicialComplex:
     """The k-skeleton: all faces of dimension at most k."""
+    k = require_int(k, "skeleton dimension")
     if not 0 <= k <= X.dim:
         raise DimensionError(f"skeleton dimension {k} out of range 0..{X.dim}")
     facets = set(X.faces(k))

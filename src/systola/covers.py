@@ -35,12 +35,12 @@ The homotopy triviality radius is floor(L/2) - 1 (inf when L is):
   potential, and x -> u -> v -> x is a nontrivial closed walk of length
   at most 2r + 1, so r >= floor(L/2).
 
-The scan checks its own answer once, at the lowest base vertex x that
-attains L (``_check_witness``): one ``dijkstra`` from (x, 0), limited to
-L, confirms that the least nontrivial loop at x has length L, and its
-distances give the witness ball B(x, floor(L/2)), which must mix sheets.
-That no other vertex has a shorter loop is not checked at run time; it
-rests on the scan and on the property tests against brute-force oracles.
+The scan's answer is checked once (``_check_witness``), trivial or not:
+one ``connected_components`` on the whole total graph must join two sheets
+of some base vertex exactly when the scan found a loop, and then one
+``dijkstra`` from (x, 0), x the lowest vertex attaining L, must confirm L
+at x.  That no other vertex has a shorter loop rests on the scan and on the
+property tests against brute-force oracles.
 
 The block test of essentiality searches (is the cover trivial over <W>?)
 builds no graph: it is :func:`~systola.cochains.potential_is_consistent`
@@ -256,33 +256,26 @@ def _holonomy_scan(C: Cover):
             met |= once
             front = reached
             level += 1
-    if centre is not None:
-        _check_witness(C, centre, systole)
-    radius = INFINITY if centre is None else systole // 2 - 1
-    C._scan = (systole, radius, centre)
+    _check_witness(C, centre, systole)
+    C._scan = (systole, INFINITY if centre is None else systole // 2 - 1, centre)
     return C._scan
 
 
-def _check_witness(C: Cover, centre: int, L: int):
-    """Raise unless the scan's answer holds at its centre.
-
-    One scipy ``dijkstra`` from (centre, 0), limited to length L, must find
-    the least distance to (centre, g != 0) equal to L.  Its distances also
-    give the ball B(centre, L//2): the base vertices whose least distance
-    over all sheets is at most L//2.  ``_mask_mixes_fibers`` must find that
-    this ball mixes sheets.  That follows from the confirmed loop: every
-    vertex of a shortest path from (centre, 0) to (centre, g) lies within
-    L//2 of the centre, so on the grid the ball is the whole complex.  The
-    ball check stays only because ``perfbench/tests`` counts one
-    ``connected_components`` call on every grid pass.
-    """
+def _check_witness(C: Cover, centre, L):
+    """Raise unless scipy's ``connected_components`` on the whole total graph
+    joins two sheets of some base vertex exactly when the scan found a loop
+    (the graph is deck-invariant, so sheet 0 is compared with the others),
+    and, for a loop, one ``dijkstra`` from (centre, 0) limited to L finds the
+    least distance to (centre, g != 0) equal to L."""
     F = C.fiber
-    dist = dijkstra(C._total_graph(), unweighted=True, indices=[centre * F],
-                    limit=L)[0].reshape(-1, F)
-    if dist[centre, 1:].min() != L:
-        raise ParameterError("internal error: unsound systole witness")
-    if not _mask_mixes_fibers(C, dist.min(axis=1) <= L // 2):
-        raise ParameterError("internal error: unsound radius witness")
+    graph = C._total_graph()
+    labels = connected_components(graph, directed=False)[1].reshape(-1, F)
+    if bool((labels[:, 1:] == labels[:, :1]).any()) != (centre is not None):
+        raise ParameterError("internal error: unsound cover verdict")
+    if centre is not None:
+        dist = dijkstra(graph, unweighted=True, indices=[centre * F], limit=L)[0]
+        if dist[centre * F + 1:(centre + 1) * F].min() != L:
+            raise ParameterError("internal error: unsound systole witness")
 
 
 def cover_systole(C: Cover):
@@ -291,7 +284,8 @@ def cover_systole(C: Cover):
     Computed as the minimum, over base vertices v and nonzero fiber shifts
     g, of the total-space distance between (v, 0) and (v, g), by the
     bit-parallel BFS from every (v, 0), 64 sources to a word, and checked
-    at the centre by ``_check_witness``.  When the cover is the universal
+    by ``_check_witness``: the verdict on the whole total graph, and L at
+    the centre.  When the cover is the universal
     cover of the base (as the generated quotients' double covers are for
     n >= 2) this is the edge-path systole of the base; in general it is
     only an upper bound for it.  A trivial cover yields inf.
@@ -305,21 +299,6 @@ def loop_norm(X: SimplicialComplex, xi: Cochain1, fiber: int = 2):
     Infinite exactly when xi is a coboundary.
     """
     return cover_systole(build_cover(X, xi, fiber))
-
-
-def _mask_mixes_fibers(C: Cover, base_mask) -> bool:
-    """Does the cover restricted over the masked vertex set connect sheets?
-
-    Used only to confirm the witness ball, independently of the scan.
-    The masked subgraph is deck-invariant, so it suffices to compare each
-    vertex's sheet-0 component label with its other sheets.
-    """
-    F = C.fiber
-    keep = np.repeat(base_mask, F)
-    graph = C._total_graph()
-    _, labels = connected_components(graph[keep][:, keep], directed=False)
-    lab = labels.reshape(-1, F)
-    return bool((lab[:, 1:] == lab[:, :1]).any())
 
 
 def is_pi_inessential(C: Cover, W) -> bool:
@@ -338,8 +317,8 @@ def homotopy_triviality_radius(C: Cover):
     This is floor(L/2) - 1 for the cover systole L (see the module
     docstring), and inf for a trivial cover.  Single-vertex balls span no
     edges, so the radius is never below 0.  It is read off the same scan as
-    the systole, whose witness check confirms that B(x, r + 1) at the centre
-    x mixes sheets; a radius already computed is not checked again.
+    the systole, as floor(L/2) - 1 of the L that the witness check confirmed;
+    it has no check of its own.
     """
     return _holonomy_scan(C)[1]
 
@@ -351,14 +330,12 @@ def homology_triviality_radius(X: SimplicialComplex, classes):
     exactly when its double cover is trivial over it, so this is the
     minimum of the per-class cover radii.  All-zero classes give inf.
     """
-    classes = list(classes)
+    try:
+        classes = list(classes)
+    except TypeError:
+        raise ParameterError(f"classes must be iterable, got {classes!r}") from None
     if not classes:
         raise ParameterError("at least one cohomology class is required")
-    best = INFINITY
-    for xi in classes:
-        if xi.ring != RING_Z2:
-            raise ParameterError("homology triviality radius works over Z2 classes")
-        r = homotopy_triviality_radius(build_cover(X, xi, 2))
-        if r < best:
-            best = r
-    return best
+    if any(not isinstance(xi, Cochain1) or xi.ring != RING_Z2 for xi in classes):
+        raise ParameterError("homology triviality radius works over Z2 classes")
+    return min(homotopy_triviality_radius(build_cover(X, xi, 2)) for xi in classes)

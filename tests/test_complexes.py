@@ -198,8 +198,10 @@ def test_pair_keys_switch_to_int64_keys_where_nv_squared_reaches_2_31(monkeypatc
 @given(st.data())
 def test_row_keys_order_rows_as_lexsort_does(data):
     # bases of 2**20 and up with three or more columns, or 2**32 and up with
-    # two, would pass 2**63, so there lex_keys ranks its prefixes
-    base = data.draw(st.one_of(st.integers(1, 6), st.integers(2 ** 20, 2 ** 50)))
+    # two, would pass 2**63, so there lex_keys ranks (prefix, column) pairs;
+    # from 2**58 up, with a few rows, even a rank times the base would pass it
+    base = data.draw(st.one_of(st.integers(1, 6), st.integers(2 ** 20, 2 ** 62),
+                               st.integers(2 ** 58, 2 ** 62)))
     width = data.draw(st.integers(1, 6))
     dtype = np.int32 if base < 2 ** 31 and data.draw(st.booleans()) else np.int64
     rows = np.array(data.draw(st.lists(st.lists(st.integers(0, base - 1), min_size=width,
@@ -210,3 +212,10 @@ def test_row_keys_order_rows_as_lexsort_does(data):
     assert np.array_equal(rows[order], rows[np.lexsort(rows.T[::-1])])
     # equal keys exactly for equal rows
     assert np.array_equal(np.diff(keys[order]) > 0, run_starts(rows[order])[1:])
+
+
+def test_row_keys_do_not_wrap_when_a_rank_times_the_base_would():
+    keys = lex_keys(np.array([[0, 0], [1, 0], [2, 0], [3, 0]]), 2 ** 62)
+    assert np.argsort(keys).tolist() == [0, 1, 2, 3]
+    keys = lex_keys(np.array([[2 ** 63 - 1, 0], [0, 1], [0, 0]]), 2 ** 63)
+    assert np.argsort(keys).tolist() == [2, 1, 0]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import systola as sy
 from systola.cochains import vertex_coboundary
 from systola.complexes import _bfs
-from systola.covers import _check_witness, _holonomy_scan, _mask_mixes_fibers
+from systola.covers import _check_witness, _holonomy_scan
 from systola.errors import CapacityError, CocycleError, ParameterError, UnknownVertexError
 
 from oracles import brute_cover_trivial_over, brute_homotopy_radius, brute_loop_lengths, \
@@ -266,13 +266,22 @@ def test_homotopy_radius_examples(rp2, rp2_class):
     assert sy.homotopy_triviality_radius(trivial) == sy.INFINITY
 
 
-def test_unsound_radius_witness_is_caught(monkeypatch, rp2, rp2_class):
-    # The scan's witness check asks whether B(centre, L // 2) mixes sheets;
-    # a check that says no must stop the scan before any number is returned.
-    monkeypatch.setattr(sy.covers, "_mask_mixes_fibers", lambda C, mask: False)
+def test_unsound_cover_verdict_is_caught(monkeypatch, rp2, rp2_class):
+    # connected_components must agree with the scan on whether the cover is
+    # trivial; a verdict mutated either way stops the scan before any number
+    # is returned.
+    def split(graph, directed):
+        return graph.shape[0], np.arange(graph.shape[0])
+
+    def merge(graph, directed):
+        return 1, np.zeros(graph.shape[0], dtype=np.int32)
+
     X = _cycle(8)
-    for cov in (sy.build_cover(rp2, rp2_class, 2), sy.build_cover(X, _cycle_class(X), 2)):
-        with pytest.raises(ParameterError, match="unsound radius witness"):
+    for mutant, cov in ((split, sy.build_cover(rp2, rp2_class, 2)),
+                        (split, sy.build_cover(X, _cycle_class(X), 2)),
+                        (merge, sy.build_cover(X, sy.Cochain1(X, {}), 2))):
+        monkeypatch.setattr(sy.covers, "connected_components", mutant)
+        with pytest.raises(ParameterError, match="unsound cover verdict"):
             sy.cover_systole(cov)
         assert cov._scan is None
 
@@ -388,28 +397,38 @@ def test_systole_over_several_word_columns_agrees_with_total_space(case):
     assert sy.homotopy_triviality_radius(cov) == (sy.INFINITY if L == sy.INFINITY else L // 2 - 1)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(_wide_graph_cochains())
-def test_witness_ball_is_the_base_ball(case):
-    # the ball that _check_witness reads off its dijkstra distances is the
-    # plain BFS ball B(centre, L // 2) of the base
-    X, xi, fiber = case
-    cov = sy.build_cover(X, xi, fiber)
-    masks = []
+@st.composite
+def _trivial_covers(draw):
+    """A coboundary with fiber 2, 3 or 5 on a base of one to three random
+    graph components, some past one word column, and isolated vertices."""
+    fiber = draw(st.sampled_from((2, 3, 5)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    faces, lo = [], 0
+    for _ in range(draw(st.integers(1, 3))):
+        m = rng.randrange(2, 80)
+        faces += [rng.sample(range(lo, lo + m), 2) for _ in range(rng.randrange(1, 2 * m))]
+        lo += m
+    faces += [[v] for v in range(lo, lo + draw(st.integers(0, 3)))]
+    X = sy.build_complex(faces)
+    g = {v: rng.randrange(-fiber, fiber + 1) for v in X.vertices}
+    return sy.build_cover(X, vertex_coboundary(X, g, sy.RING_Z2 if fiber == 2 else sy.RING_Z),
+                          fiber)
 
-    def record(C, mask):
-        masks.append(mask.copy())
-        return _mask_mixes_fibers(C, mask)
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_trivial_covers())
+def test_trivial_cover_verdict_is_checked_without_dijkstra(cov):
+    calls = []
+
+    def counted(name):
+        real = getattr(sy.covers, name)
+        return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sy.covers, "_mask_mixes_fibers", record)
-        L, _, centre = _holonomy_scan(cov)
-    if centre is None:
-        assert masks == []
-        return
-    near = _bfs(X, X.vertices[centre], cutoff=L // 2)
-    assert len(masks) == 1
-    assert masks[0].tolist() == [v in near for v in X.vertices]
+        for name in ("dijkstra", "connected_components"):
+            mp.setattr(sy.covers, name, counted(name))
+        assert _holonomy_scan(cov) == (sy.INFINITY, sy.INFINITY, None)
+    assert calls == ["connected_components"]
 
 
 def test_grid_pass_checks_each_cover_once_without_the_base_bfs(monkeypatch):
@@ -577,10 +596,6 @@ def test_block_test_agrees_with_preimage_components_and_restrictions(case):
     cov = sy.build_cover(X, xi, fiber)
     trivial = sy.is_pi_inessential(cov, W)
     assert trivial == brute_cover_trivial_over(cov, W)
-    vidx = X.vertex_index()
-    mask = np.zeros(X.num_vertices, dtype=bool)
-    mask[[vidx[v] for v in W]] = True
-    assert trivial == (not _mask_mixes_fibers(cov, mask))
     if xi.ring == sy.RING_Z2:
         assert sy.restriction_is_zero(xi, W) == trivial
     else:

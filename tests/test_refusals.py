@@ -104,6 +104,30 @@ CASES = {
     "cochain_k_on_unorderable_labels":
         (lambda: sy.CochainK(RP2, 1, [(1, "a")]), DomainError,
          r"\(1, 'a'\) is not a 1-face of the complex"),
+    "cochain_k_of_a_non_iterable_support":
+        (lambda: sy.CochainK(RP2, 1, 5), ParameterError,
+         "a cochain's support must be iterable, got 5"),
+    "cochain_k_of_a_string_degree":
+        (lambda: sy.CochainK(RP2, "a", []), ParameterError,
+         "degree must be an integer, got 'a'"),
+    "skeleton_of_a_string_dimension":
+        (lambda: sy.skeleton(RP2, "a"), ParameterError,
+         "skeleton dimension must be an integer, got 'a'"),
+    "coboundary_of_a_string_value":
+        (lambda: sy.vertex_coboundary(RP2, {1: "a"}), ParameterError,
+         "the value at 1 must be an integer, got 'a'"),
+    "coboundary_of_a_non_mapping":
+        (lambda: sy.vertex_coboundary(RP2, 5), ParameterError,
+         "the 0-cochain must be a mapping, got int"),
+    "cochain_of_a_list_of_pairs":
+        (lambda: sy.Cochain1(RP2, [((1, 2), 1)]), ParameterError,
+         "the cochain values must be a mapping, got list"),
+    "homology_radius_of_a_non_iterable":
+        (lambda: sy.homology_triviality_radius(RP2, 5), ParameterError,
+         "classes must be iterable, got 5"),
+    "homology_radius_of_a_non_cochain":
+        (lambda: sy.homology_triviality_radius(RP2, [5]), ParameterError,
+         "homology triviality radius works over Z2 classes"),
     "homology_radius_of_an_integer_class":
         (lambda: sy.homology_triviality_radius(SQUARE, [XZ]), ParameterError,
          "homology triviality radius works over Z2 classes"),
