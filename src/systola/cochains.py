@@ -117,12 +117,14 @@ class Cochain1:
 
 
 class CochainK:
-    """A Z2 cochain of degree k, stored as its support set of k-faces."""
+    """A Z2 cochain of degree k in 0..dim, stored as its support set of k-faces."""
 
     __slots__ = ("complex", "degree", "support", "_ids")
 
     def __init__(self, complex: SimplicialComplex, degree: int, support):
         degree = require_int(degree, "degree")
+        if not 0 <= degree <= complex.dim:
+            raise DimensionError(f"cochain degree {degree} out of range 0..{complex.dim}")
         faces = complex.faces(degree)
         supp = set()
         try:
@@ -407,10 +409,9 @@ def potential_is_consistent(steps, W, modulus=None) -> bool:
     ``steps[v]`` lists (w, step) per oriented edge v -> w, the reverse edge
     with the negated step.  Each vertex of <W> takes its potential from its
     tree parent; the first edge that disagrees answers False.  ``modulus``
-    is the fiber for covers, 2 over Z2 and None over the integers.  W may be
-    any iterable of vertices; this is the one place where a vertex subset is
-    checked: a W that is no iterable of hashable labels, or a vertex with no
-    entry in ``steps``, is refused with ``UnknownVertexError``.
+    is the fiber for covers, 2 over Z2 and None over the integers.  A W that
+    is no iterable of hashable labels, or a vertex with no entry in
+    ``steps``, is refused with ``UnknownVertexError``.
     """
     W = W if isinstance(W, (set, frozenset)) else _vertex_set(W)
     if not steps.keys() >= W:

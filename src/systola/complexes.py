@@ -196,6 +196,24 @@ def _vertex_set(W) -> set:
         raise UnknownVertexError(f"{W!r} is not a collection of vertex labels") from None
 
 
+class _VertexMask(int):
+    """A vertex set as a bitmask, bit i for ``X.vertices[i]``, as searches pass it."""
+
+
+def _as_mask(X: SimplicialComplex, W) -> int:
+    """W's vertex bitmask; a W that is no iterable of vertices of X (a plain
+    int, say) is refused with ``UnknownVertexError``."""
+    W = _vertex_set(W)
+    if unknown := W - X.vertex_index().keys():
+        raise UnknownVertexError(f"{unknown.pop()!r} is not a vertex of the complex")
+    return int("".join("01"[v in W] for v in reversed(X.vertices)) or "0", 2)
+
+
+def _labels(X: SimplicialComplex, mask: int) -> frozenset:
+    """The vertices of X whose bits are set in ``mask``."""
+    return frozenset(v for v, b in zip(X.vertices, bin(mask)[:1:-1]) if b == "1")
+
+
 def _as_tuples(rows: np.ndarray, names) -> list:
     """The index rows as tuples of the labels ``names[i]``: one shared
     object per label, tuple labels such as ``(v, sheet)`` included."""

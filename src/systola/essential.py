@@ -3,10 +3,10 @@
 Two decidable inessentiality tests are supported: the forest criterion
 for 1-dimensional complexes (a subgraph maps trivially to the ambient
 fundamental group iff every component is a tree) and cover-relative
-triviality for an explicitly supplied covering.  Both are one potential
-check restricted to the block: the forest criterion uses the free integer
-cochain, 2**i on the i-th sorted edge, which is a coboundary on <W>
-exactly when <W> has no cycle.  Both are monotone (a block that fails
+triviality for an explicitly supplied covering.  On a search's block mask
+both grow components one BFS level at a time over cached neighbour masks:
+a forest has |W| - c edges for c components, and the cover test stops at
+the first base vertex reached on two sheets.  Both are monotone (a block that fails
 makes every superset fail), so exhaustive search over restricted-growth
 strings tests each block as it grows and prunes there.  Both searches
 see a block as an int bitmask over the vertex order and share one dict
@@ -19,13 +19,10 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from itertools import compress
 
-from .cochains import RING_Z, Cochain1, potential_is_consistent
-from .complexes import SimplicialComplex
-from .covers import Cover, is_pi_inessential
+from .complexes import SimplicialComplex, _as_mask, _labels, _VertexMask
+from .covers import Cover, _components, _neighbour_masks, is_pi_inessential
 from .errors import CapacityError, DimensionError, ParameterError, require_int
-from .gf2 import _bits
 
 MAX_EXHAUSTIVE_VERTICES = 14
 
@@ -93,10 +90,8 @@ def is_inessential_graph(X: SimplicialComplex, W) -> bool:
     """Forest criterion: true iff every component of <W> is a tree.
 
     Only valid for complexes of dimension at most 1, where subgraph
-    inclusions inject fundamental groups.  Decided as the potential check
-    of the free cochain on <W>: a signed sum of distinct powers of two is
-    never 0, so a potential exists iff <W> has no cycle.  Its step table is
-    built once per complex.
+    inclusions inject fundamental groups.  Decided on W's vertex bitmask
+    over the 1-skeleton's neighbour masks, built once per complex.
     """
     if X.dim > 1:
         raise DimensionError("forest criterion applies to 1-dimensional complexes")
@@ -109,10 +104,11 @@ def subdivision_vertex_lower_bound(n: int) -> int:
     return (n + 1) * (n + 2) // 2
 
 
-def _forest_steps(X):
-    """Step table of the free cochain, 2**i on the i-th sorted edge."""
-    free = {e: 1 << i for i, e in enumerate(sorted(X.faces(1)))}
-    return Cochain1(X, free, RING_Z).step_table()
+def _is_forest(adj, W) -> bool:
+    """Whether the vertex mask W induces a forest in the graph whose neighbour
+    masks are ``adj``: one with |W| - c edges (2 ends each), c its component count."""
+    ends = sum((adj[i] & W).bit_count() for i, b in enumerate(bin(W)[:1:-1]) if b == "1")
+    return ends == 2 * (W.bit_count() - _components(adj, W, len(adj), 1))
 
 
 def _block_test(X, cover):
@@ -123,8 +119,8 @@ def _block_test(X, cover):
             raise ParameterError("cover does not cover this complex")
         return lambda block: is_pi_inessential(cover, block)
     if X.dim <= 1:
-        steps = X.derived("forest_steps", _forest_steps)
-        return lambda block: potential_is_consistent(steps, block)
+        adj = X.derived("neighbour_masks", _neighbour_masks)
+        return lambda W: _is_forest(adj, W if type(W) is _VertexMask else _as_mask(X, W))
     raise ParameterError(
         "essentiality for complexes of dimension > 1 needs an explicit cover")
 
@@ -139,7 +135,7 @@ def _exhaustive(m, n, passes):
         if i == m:
             return used
         bit = 1 << i
-        for j in range(min(used + 1, n)):
+        for j in range(used + (used < n)):
             old = masks[j]
             if passes(old | bit):
                 masks[j] = old | bit
@@ -175,9 +171,11 @@ def _heuristic(m, n, passes, rng, deadline, max_rounds):
             if not bad:
                 return [masks[a] for a in order]
             a = rng.choice(bad)
-            movers = list(_bits(masks[a]))
             dest = rng.randrange(n)
-            bit = 1 << rng.choice(movers)
+            bit = masks[a]  # its k-th vertex, k drawn as by rng.choice(its vertices)
+            for _ in range(rng.choice(range(bit.bit_count()))):
+                bit &= bit - 1
+            bit &= -bit
             masks[a] ^= bit
             masks[dest] |= bit
             if time.monotonic() >= deadline:
@@ -198,30 +196,21 @@ def combinatorial_essentiality(X: SimplicialComplex, n: int,
     and never claims essentiality.
     Both criteria are monotone under shrinking a block, so the exhaustive
     search tests each block as it grows and prunes a branch at the first
-    block that fails; the forest test is the potential check of the free
-    cochain, the cover test that of the cocycle mod the fiber.  Both modes
-    ask one mask -> verdict dict, so every distinct block is tested once and
-    ``block_tests`` is the size of that dict; the final witness re-check
-    calls the block test afresh.  ``n`` and ``budget_ms`` must be integers
-    (bools refused); ``n`` above the vertex count is taken as the vertex
-    count, since no partition has more nonempty blocks.
+    block that fails.  Both modes ask one mask -> verdict dict, so every
+    distinct block is tested once and ``block_tests`` is the size of that
+    dict; the witness re-check tests the labelled blocks afresh.  ``n`` and
+    ``budget_ms`` must be integers (bools refused); ``n`` above the vertex
+    count is taken as the vertex count: no partition has more nonempty blocks.
     """
     n = require_int(n, "n", 1)
     budget_ms = require_int(budget_ms, "budget_ms", 1)
     test = _block_test(X, cover)
-    vertices = X.vertices
-    m = len(vertices)
+    m = len(X.vertices)
     n = min(n, m)
-
-    bit_flags = bytes.maketrans(b"01", b"\0\1")
-
-    def members(mask):
-        # the bits of mask, lowest first, as 0/1 bytes that pick the vertices
-        return frozenset(compress(vertices, bin(mask)[:1:-1].encode().translate(bit_flags)))
 
     class Verdicts(dict):
         def __missing__(self, mask):
-            ok = self[mask] = test(members(mask))
+            ok = self[mask] = test(_VertexMask(mask))
             return ok
 
     # The exhaustive search asks about the same blocks again and again (K13
@@ -245,7 +234,7 @@ def combinatorial_essentiality(X: SimplicialComplex, n: int,
     if found is None:
         return EssentialityVerdict(True if mode == "exhaustive" else None, None, mode,
                                    len(verdicts))
-    witness = VertexPartition(tuple(members(mask) for mask in found))
+    witness = VertexPartition(tuple(_labels(X, mask) for mask in found))
     if not all(test(b) for b in witness.blocks):
         raise ParameterError("internal error: unsound witness")
     return EssentialityVerdict(False, witness, mode, len(verdicts))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import systola as sy
 from systola.cochains import vertex_coboundary
-from systola.complexes import _bfs
+from systola.complexes import _as_mask, _bfs, _VertexMask
 from systola.covers import _check_witness, _holonomy_scan
 from systola.errors import CapacityError, CocycleError, ParameterError, UnknownVertexError
 
@@ -596,10 +596,62 @@ def test_block_test_agrees_with_preimage_components_and_restrictions(case):
     cov = sy.build_cover(X, xi, fiber)
     trivial = sy.is_pi_inessential(cov, W)
     assert trivial == brute_cover_trivial_over(cov, W)
+    assert sy.is_pi_inessential(cov, _VertexMask(_as_mask(X, W))) == trivial
     if xi.ring == sy.RING_Z2:
         assert sy.restriction_is_zero(xi, W) == trivial
     else:
         assert sy.restriction_is_zero(xi, W) == integer_restriction_is_zero(xi, W)
+
+
+def _long_cycle_cocycle_blocks(seed):
+    """A cycle on 131 to 140 vertices plus up to four chords, random Z2, Z3
+    or Z5 values on its edges, and a block: empty, one vertex, all of them,
+    an arc, two arcs apart or a random subset."""
+    rng = random.Random(seed)
+    n = rng.randrange(131, 141)
+    edges = {tuple(sorted((v, (v + 1) % n))) for v in range(n)}
+    edges |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randrange(5))}
+    fiber = rng.choice((2, 3, 5))
+    ring = sy.RING_Z2 if fiber == 2 else sy.RING_Z
+    X = sy.build_complex([list(e) for e in edges])
+    xi = sy.Cochain1(X, {e: rng.randrange(fiber) for e in sorted(edges)}, ring)
+    start, a = rng.randrange(n), rng.randrange(1, n - 2)
+    arc = {(start + i) % n for i in range(a)}
+    apart = arc | {(start + a + 1 + i) % n for i in range(rng.randrange(1, n - a - 1))}
+    subset = {v for v in range(n) if rng.randrange(2)}
+    return X, xi, fiber, rng.choice((set(), {start}, set(range(n)), arc, apart, subset))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32))
+def test_mask_block_test_agrees_with_brute_preimage_beyond_two_words(seed):
+    X, xi, fiber, W = _long_cycle_cocycle_blocks(seed)
+    cov = sy.build_cover(X, xi, fiber)
+    trivial = brute_cover_trivial_over(cov, W)
+    mask = _VertexMask(_as_mask(X, W))
+    assert sy.is_pi_inessential(cov, mask) == trivial  # the bitmask BFS
+    assert sy.is_pi_inessential(cov, W) == trivial  # labels: the potential check
+    with pytest.MonkeyPatch.context() as mp:  # above the cap: decoded, potential check
+        mp.setattr(sy.covers, "MAX_MASK_VERTICES", 0)
+        assert sy.is_pi_inessential(cov, mask) == trivial
+
+
+def test_block_test_above_the_mask_cap_builds_no_mask(monkeypatch):
+    # a 9,000-vertex cycle's double cover has 18,000 total vertices, above the
+    # cap: a labelled W reaches the potential check as given, and a search's
+    # mask only as its labels, with no (V·F)² table built either way
+    X = _cycle(9000)
+    cov = sy.build_cover(X, _cycle_class(X), 2)
+    assert X.num_vertices * cov.fiber > sy.covers.MAX_MASK_VERTICES
+    seen = []
+    real = sy.covers.potential_is_consistent
+    monkeypatch.setattr(sy.covers, "potential_is_consistent",
+                        lambda steps, W, modulus: seen.append(W) or real(steps, W, modulus))
+    arc = frozenset(range(8990))
+    assert sy.is_pi_inessential(cov, arc)
+    assert not sy.is_pi_inessential(cov, _VertexMask(_as_mask(X, X.vertices)))
+    assert seen[0] is arc and seen[1] == frozenset(X.vertices)
+    assert cov._masks is None
 
 
 def test_homology_radius(rp2, rp2_class):

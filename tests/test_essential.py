@@ -28,10 +28,10 @@ def test_forest_criterion_cases():
     assert sy.is_inessential_graph(two_points, {1, 3})
 
 
-def test_forest_step_table_is_built_once_per_complex(monkeypatch):
+def test_forest_mask_table_is_built_once_per_complex(monkeypatch):
     built = []
-    real = essential._forest_steps
-    monkeypatch.setattr(essential, "_forest_steps", lambda X: built.append(X) or real(X))
+    real = essential._neighbour_masks
+    monkeypatch.setattr(essential, "_neighbour_masks", lambda X: built.append(X) or real(X))
     X = sy.build_complex([[1, 2], [2, 3], [1, 3], [3, 4], [4, 5], [5, 6], [6, 4], [7, 8]])
     adj = X.adjacency()
     subsets = [set(W) for k in range(len(X.vertices) + 1)
@@ -42,6 +42,25 @@ def test_forest_step_table_is_built_once_per_complex(monkeypatch):
     assert first == second == [not simple_cycles(adj, W) for W in subsets]
     assert sy.combinatorial_essentiality(X, 2).essential is False
     assert built == [X]
+
+
+def _sparse_graph_blocks(seed):
+    """A random forest on 65 to 140 vertices, labelled 3v + 1, plus up to
+    four more edges, and a block: all its vertices or a random subset."""
+    rng = random.Random(seed)
+    k = rng.randrange(65, 141)
+    edges = {(rng.randrange(v), v) for v in range(1, k) if rng.randrange(8)}
+    edges |= {tuple(sorted(rng.sample(range(k), 2))) for _ in range(rng.randrange(5))}
+    X = sy.build_complex([[3 * a + 1, 3 * b + 1] for a, b in edges]
+                         + [[3 * v + 1] for v in range(k)])
+    return X, rng.choice((set(X.vertices), {v for v in X.vertices if rng.randrange(2)}))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32))
+def test_forest_test_agrees_with_cycle_enumeration_beyond_one_word(seed):
+    X, W = _sparse_graph_blocks(seed)
+    assert sy.is_inessential_graph(X, W) == (not simple_cycles(X.adjacency(), W))
 
 
 def test_forest_criterion_rejects_higher_dimension(rp2):
@@ -81,13 +100,13 @@ def test_odd_complete_graphs_essentiality_boundary():
 def test_exhaustive_search_tests_each_distinct_block_once(monkeypatch):
     k13 = sy.gen_named("complete-13")
     tested = []
-    real = sy.essential.potential_is_consistent
+    real = sy.essential._is_forest
 
-    def recording(steps, block):
+    def recording(adj, block):
         tested.append(block)
-        return real(steps, block)
+        return real(adj, block)
 
-    monkeypatch.setattr(sy.essential, "potential_is_consistent", recording)
+    monkeypatch.setattr(sy.essential, "_is_forest", recording)
     # K13 is 6-essential: without the shared verdicts the search would
     # make 178,132 block tests of these 363 blocks
     verdict = sy.combinatorial_essentiality(k13, 6)

@@ -96,6 +96,30 @@ CASES = {
     "inessential_test_of_unhashable_vertices":
         (lambda: sy.is_pi_inessential(RP1, [[1]]), UnknownVertexError,
          r"\[\[1\]\] is not a collection of vertex labels"),
+    "inessential_test_of_an_int":
+        (lambda: sy.is_pi_inessential(RP1, 5), UnknownVertexError,
+         "5 is not a collection of vertex labels"),
+    "inessential_test_of_a_bool":
+        (lambda: sy.is_pi_inessential(RP1, True), UnknownVertexError,
+         "True is not a collection of vertex labels"),
+    "inessential_test_of_an_unknown_label":
+        (lambda: sy.is_pi_inessential(RP1, [0, "a"]), UnknownVertexError,
+         "'a' is not a vertex of the complex"),
+    "inessential_test_of_a_non_iterable":
+        (lambda: sy.is_pi_inessential(RP1, None), UnknownVertexError,
+         "None is not a collection of vertex labels"),
+    "forest_test_of_an_int":
+        (lambda: sy.is_inessential_graph(SQUARE, 5), UnknownVertexError,
+         "5 is not a collection of vertex labels"),
+    "forest_test_of_a_bool":
+        (lambda: sy.is_inessential_graph(SQUARE, False), UnknownVertexError,
+         "False is not a collection of vertex labels"),
+    "forest_test_of_an_unknown_label":
+        (lambda: sy.is_inessential_graph(SQUARE, [0, 9]), UnknownVertexError,
+         "9 is not a vertex of the complex"),
+    "forest_test_of_a_non_iterable":
+        (lambda: sy.is_inessential_graph(SQUARE, object), UnknownVertexError,
+         "<class 'object'> is not a collection of vertex labels"),
     "cochain_k_face_outside":
         (lambda: sy.CochainK(SQUARE, 1, [(0, 2)]), DomainError,
          r"\(0, 2\) is not a 1-face of the complex"),
@@ -107,6 +131,11 @@ CASES = {
     "cochain_k_of_a_non_iterable_support":
         (lambda: sy.CochainK(RP2, 1, 5), ParameterError,
          "a cochain's support must be iterable, got 5"),
+    "cochain_k_above_the_dimension":
+        (lambda: sy.CochainK(RP2, 7, []), DimensionError, r"cochain degree 7 out of range 0\.\.2"),
+    "cochain_k_of_a_negative_degree":
+        (lambda: sy.CochainK(RP2, -1, []), DimensionError,
+         r"cochain degree -1 out of range 0\.\.2"),
     "cochain_k_of_a_string_degree":
         (lambda: sy.CochainK(RP2, "a", []), ParameterError,
          "degree must be an integer, got 'a'"),
