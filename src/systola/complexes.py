@@ -94,7 +94,7 @@ class SimplicialComplex:
 
     def has_vertex(self, v) -> bool:
         try:
-            return v in self.vertex_index()
+            return _image(self.vertex_index(), self.vertices, v) >= 0
         except TypeError:  # an unhashable label, so no vertex
             return False
 
@@ -187,31 +187,38 @@ def _bfs(X: SimplicialComplex, x, cutoff=None) -> dict:
     return dist
 
 
-def _vertex_set(W) -> set:
-    """The set of W's members; a W that is not an iterable of hashable
-    labels is refused with ``UnknownVertexError``."""
-    try:
-        return set(W)
-    except TypeError:
-        raise UnknownVertexError(f"{W!r} is not a collection of vertex labels") from None
-
-
 class _VertexMask(int):
     """A vertex set as a bitmask, bit i for ``X.vertices[i]``, as searches pass it."""
 
 
-def _as_mask(X: SimplicialComplex, W) -> int:
-    """W's vertex bitmask; a W that is no iterable of vertices of X (a plain
-    int, say) is refused with ``UnknownVertexError``."""
-    W = _vertex_set(W)
-    if unknown := W - X.vertex_index().keys():
-        raise UnknownVertexError(f"{unknown.pop()!r} is not a vertex of the complex")
-    return int("".join("01"[v in W] for v in reversed(X.vertices)) or "0", 2)
+def _is_int(x) -> bool:
+    """A Python or numpy integer; bools are refused."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-def _labels(X: SimplicialComplex, mask: int) -> frozenset:
-    """The vertices of X whose bits are set in ``mask``."""
-    return frozenset(v for v, b in zip(X.vertices, bin(mask)[:1:-1]) if b == "1")
+def _image(index, names, w) -> int:
+    """The index of the vertex w, or -1 when w is none: also when w only
+    compares equal to one, as 3.0 or True does to 3."""
+    i = index.get(w, -1)
+    return i if i < 0 or type(w) is type(names[i]) or _is_int(w) and _is_int(names[i]) else -1
+
+
+def _as_mask(X: SimplicialComplex, W) -> _VertexMask:
+    """W's vertex bitmask, a ``_VertexMask`` as it is: the one place a vertex
+    subset becomes indices or is refused (``UnknownVertexError``)."""
+    if type(W) is _VertexMask:
+        return W
+    index, names = X.vertex_index(), X.vertices
+    bits = bytearray(len(names) // 8 + 1)
+    try:
+        for v in W:
+            i = _image(index, names, v)
+            if i < 0:
+                raise UnknownVertexError(f"{v!r} is not a vertex of the complex")
+            bits[i >> 3] |= 1 << (i & 7)
+    except TypeError:
+        raise UnknownVertexError(f"{W!r} is not a collection of vertex labels") from None
+    return _VertexMask(int.from_bytes(bits, "little"))
 
 
 def _as_tuples(rows: np.ndarray, names) -> list:
@@ -383,7 +390,10 @@ class InducedSubcomplex:
 
 def induced(X: SimplicialComplex, W) -> InducedSubcomplex:
     """The subcomplex of X induced by the vertex subset W."""
-    W = frozenset(_vertex_set(W))
+    try:
+        W = frozenset(W)
+    except TypeError:
+        raise UnknownVertexError(f"{W!r} is not a collection of vertex labels") from None
     unknown = [v for v in W if not X.has_vertex(v)]
     if unknown:
         try:

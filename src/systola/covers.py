@@ -43,21 +43,21 @@ at x.  That no other vertex has a shorter loop rests on the scan and on the
 property tests against brute-force oracles.
 
 The block test of essentiality searches (is the cover trivial over <W>?)
-builds no graph: on a search's vertex mask it is a bitmask BFS of the preimage,
-else :func:`~systola.cochains.potential_is_consistent` restricted to W, mod N.
+builds no graph: it is ``cochains``' restriction test of the cocycle mod N.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from .cochains import RING_Z, RING_Z2, Cochain1, is_cocycle, potential_is_consistent
-from .complexes import SimplicialComplex, _bfs, _labels, _VertexMask
+from .cochains import RING_Z, RING_Z2, Cochain1, _restricted_components, is_cocycle
+from .complexes import SimplicialComplex, _bfs
 from .errors import CapacityError, CocycleError, ParameterError, UnknownVertexError, \
     require_int
 
@@ -67,10 +67,6 @@ INFINITY = math.inf
 # with V vertices and E edges.  At the cap a scan adds about 50 MB of peak RSS
 # (8-cycle, fiber 62,500); the grid's largest cover, at (4, 8), is 80,642.
 MAX_TOTAL_GRAPH = 10 ** 6
-
-# Total vertices V·F up to which block tests run on bitmasks ((V·F)²/16 bytes of
-# table); on grid covers they beat the potential check to ~8,000 (2-vCPU VM, Python 3.11).
-MAX_MASK_VERTICES = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -86,7 +82,7 @@ class BallProfile:
 class Cover:
     """A double or cyclic covering complex with its deck action."""
 
-    __slots__ = ("base", "cocycle", "fiber", "kind", "_total", "_graph", "_scan", "_masks")
+    __slots__ = ("base", "cocycle", "fiber", "kind", "_total", "_graph", "_scan")
 
     def __init__(self, base, cocycle, fiber):
         self.base = base
@@ -96,7 +92,6 @@ class Cover:
         self._total = None
         self._graph = None
         self._scan = None
-        self._masks = None
 
     @property
     def total_complex(self) -> SimplicialComplex:
@@ -186,8 +181,7 @@ def edge_distance(X: SimplicialComplex, x, y):
     dist = _bfs(X, x)
     if not X.has_vertex(y):
         raise UnknownVertexError(f"{y!r} is not a vertex of the complex")
-    d = dist.get(y)
-    return INFINITY if d is None else d
+    return dist.get(y, INFINITY)
 
 
 def ball(X: SimplicialComplex, x, i: int) -> frozenset:
@@ -211,12 +205,8 @@ def ball_profile(X: SimplicialComplex, x, r_max: int | None = None) -> BallProfi
     for d in dist.values():
         if d <= top:
             sphere_sizes[d] += 1
-    ball_sizes = []
-    acc = 0
-    for s in sphere_sizes:
-        acc += s
-        ball_sizes.append(acc)
-    return BallProfile(x, tuple(range(top + 1)), tuple(ball_sizes), tuple(sphere_sizes))
+    return BallProfile(x, tuple(range(top + 1)), tuple(accumulate(sphere_sizes)),
+                       tuple(sphere_sizes))
 
 
 # -- systole and triviality radii ----------------------------------------
@@ -306,60 +296,11 @@ def loop_norm(X: SimplicialComplex, xi: Cochain1, fiber: int = 2):
     return cover_systole(build_cover(X, xi, fiber))
 
 
-def _neighbour_masks(X: SimplicialComplex, shifts=0, fiber: int = 1) -> list:
-    """Per vertex (v, s) of the cover with sheet changes ``shifts`` on
-    ``X.edge_keys()``, at index v + s·V, its neighbours (w, t) as bits w + t·V."""
-    nv = X.num_vertices
-    u, v = np.divmod(X.edge_keys(), nv)
-    masks = [0] * (nv * fiber)
-    for a, b, d in zip(u.tolist(), v.tolist(), np.broadcast_to(shifts, u.shape).tolist()):
-        for s in range(fiber):
-            x, y = a + s * nv, b + (s + d) % fiber * nv
-            masks[x] |= 1 << y
-            masks[y] |= 1 << x
-    return masks
-
-
-def _components(masks, W: int, nv: int, fiber: int):
-    """The number of components of <W>, each grown from its lowest (r, 0) one BFS
-    level at a time (OR the frontier's ``_neighbour_masks``, AND with W on every
-    sheet); None at the first level that reaches a base vertex on a second sheet."""
-    lifted, sheet = sum(W << s * nv for s in range(fiber)), (1 << nv) - 1
-    count, todo = 0, W
-    while todo:
-        front = comp = shadow = todo & -todo  # shadow: comp's projection
-        while front:
-            reach = 0
-            while front:
-                low = front & -front
-                reach |= masks[low.bit_length() - 1]
-                front ^= low
-            front = new = reach & lifted & ~comp
-            comp |= front
-            while new:  # fold the new vertices onto the base, one sheet at a time
-                if new & sheet & shadow:
-                    return None
-                shadow |= new & sheet
-                new >>= nv
-        count += 1
-        todo &= ~shadow
-    return count
-
-
 def is_pi_inessential(C: Cover, W) -> bool:
-    """True iff the cover restricts trivially over the subcomplex induced by W.
-
-    Over every connected component of the induced subcomplex the preimage
-    must split into fiber-many sheets, each projecting bijectively (see the
-    module docstring for the two ways this is decided).
-    """
-    nv, F = C.base.num_vertices, C.fiber
-    if type(W) is _VertexMask and nv * F <= MAX_MASK_VERTICES:
-        if C._masks is None:
-            C._masks = _neighbour_masks(C.base, C.cocycle.edge_values() % F, F)
-        return _components(C._masks, W, nv, F) is not None
-    W = _labels(C.base, W) if type(W) is _VertexMask else W
-    return potential_is_consistent(C.cocycle.step_table(), W, F)
+    """True iff the cover restricts trivially over the subcomplex induced by W:
+    over each of its components the preimage splits into fiber-many sheets,
+    each projecting bijectively, as the cocycle mod the fiber is a coboundary."""
+    return _restricted_components(C.cocycle, C.fiber, W) is not None
 
 
 def homotopy_triviality_radius(C: Cover):

@@ -3,10 +3,10 @@
 Two decidable inessentiality tests are supported: the forest criterion
 for 1-dimensional complexes (a subgraph maps trivially to the ambient
 fundamental group iff every component is a tree) and cover-relative
-triviality for an explicitly supplied covering.  On a search's block mask
-both grow components one BFS level at a time over cached neighbour masks:
-a forest has |W| - c edges for c components, and the cover test stops at
-the first base vertex reached on two sheets.  Both are monotone (a block that fails
+triviality for an explicitly supplied covering.  Both count the components
+of <W> by the one restriction test of ``cochains``, the cover test for the
+cocycle mod the fiber and the forest test for the zero cochain mod 1: a
+forest has |W| - c edges for c components.  Both are monotone (a block that fails
 makes every superset fail), so exhaustive search over restricted-growth
 strings tests each block as it grows and prunes there.  Both searches
 see a block as an int bitmask over the vertex order and share one dict
@@ -20,9 +20,11 @@ import random
 import time
 from dataclasses import dataclass
 
-from .complexes import SimplicialComplex, _as_mask, _labels, _VertexMask
-from .covers import Cover, _components, _neighbour_masks, is_pi_inessential
+from .cochains import Cochain1, _restricted_components, _restriction_table
+from .complexes import SimplicialComplex, _as_mask, _VertexMask
+from .covers import Cover, is_pi_inessential
 from .errors import CapacityError, DimensionError, ParameterError, require_int
+from .gf2 import _bits
 
 MAX_EXHAUSTIVE_VERTICES = 14
 
@@ -43,10 +45,7 @@ class VertexPartition:
             seen |= b
 
     def covered(self) -> frozenset:
-        out = set()
-        for b in self.blocks:
-            out |= b
-        return frozenset(out)
+        return frozenset().union(*self.blocks)
 
     def __len__(self):
         return len(self.blocks)
@@ -90,8 +89,8 @@ def is_inessential_graph(X: SimplicialComplex, W) -> bool:
     """Forest criterion: true iff every component of <W> is a tree.
 
     Only valid for complexes of dimension at most 1, where subgraph
-    inclusions inject fundamental groups.  Decided on W's vertex bitmask
-    over the 1-skeleton's neighbour masks, built once per complex.
+    inclusions inject fundamental groups.  Decided by the restriction test
+    of the 1-skeleton mod 1, whose table is built once per complex.
     """
     if X.dim > 1:
         raise DimensionError("forest criterion applies to 1-dimensional complexes")
@@ -104,11 +103,18 @@ def subdivision_vertex_lower_bound(n: int) -> int:
     return (n + 1) * (n + 2) // 2
 
 
-def _is_forest(adj, W) -> bool:
-    """Whether the vertex mask W induces a forest in the graph whose neighbour
-    masks are ``adj``: one with |W| - c edges (2 ends each), c its component count."""
-    ends = sum((adj[i] & W).bit_count() for i, b in enumerate(bin(W)[:1:-1]) if b == "1")
-    return ends == 2 * (W.bit_count() - _components(adj, W, len(adj), 1))
+def _is_forest(X, W) -> bool:
+    """Whether <W> is a forest: one with |W| - c edges (2 ends each), c its
+    component count, both read off the restriction table of X's zero cochain."""
+    zero = X.derived("zero cochain", lambda X: Cochain1(X, {}))
+    W = _as_mask(X, W)
+    count, table = _restricted_components(zero, 1, W), _restriction_table(zero, 1)
+    if type(table) is list:
+        ends = sum((table[i] & W).bit_count() for i in _bits(W))
+    else:
+        inside = set(_bits(W))
+        ends = sum(w in inside for i in inside for w, _ in table[i])
+    return ends == 2 * (W.bit_count() - count)
 
 
 def _block_test(X, cover):
@@ -119,8 +125,7 @@ def _block_test(X, cover):
             raise ParameterError("cover does not cover this complex")
         return lambda block: is_pi_inessential(cover, block)
     if X.dim <= 1:
-        adj = X.derived("neighbour_masks", _neighbour_masks)
-        return lambda W: _is_forest(adj, W if type(W) is _VertexMask else _as_mask(X, W))
+        return lambda W: _is_forest(X, W)
     raise ParameterError(
         "essentiality for complexes of dimension > 1 needs an explicit cover")
 
@@ -165,11 +170,10 @@ def _heuristic(m, n, passes, rng, deadline, max_rounds):
         for i in range(m):
             masks[rng.randrange(n)] |= 1 << i
         for _ in range(4 * m):
-            order = sorted((a for a in range(n) if masks[a]),
-                           key=lambda a: masks[a] & -masks[a])
-            bad = [a for a in order if not passes(masks[a])]
+            bad = sorted((a for a in range(n) if masks[a] and not passes(masks[a])),
+                         key=lambda a: masks[a] & -masks[a])
             if not bad:
-                return [masks[a] for a in order]
+                return sorted(filter(None, masks), key=lambda w: w & -w)
             a = rng.choice(bad)
             dest = rng.randrange(n)
             bit = masks[a]  # its k-th vertex, k drawn as by rng.choice(its vertices)
@@ -198,7 +202,9 @@ def combinatorial_essentiality(X: SimplicialComplex, n: int,
     search tests each block as it grows and prunes a branch at the first
     block that fails.  Both modes ask one mask -> verdict dict, so every
     distinct block is tested once and ``block_tests`` is the size of that
-    dict; the witness re-check tests the labelled blocks afresh.  ``n`` and
+    dict.  The witness re-check runs the same test on the labelled blocks, so
+    it checks the decoding and bookkeeping; the brute-force oracles of the
+    tests and of the benchmark check the test itself.  ``n`` and
     ``budget_ms`` must be integers (bools refused); ``n`` above the vertex
     count is taken as the vertex count: no partition has more nonempty blocks.
     """
@@ -234,7 +240,7 @@ def combinatorial_essentiality(X: SimplicialComplex, n: int,
     if found is None:
         return EssentialityVerdict(True if mode == "exhaustive" else None, None, mode,
                                    len(verdicts))
-    witness = VertexPartition(tuple(_labels(X, mask) for mask in found))
+    witness = VertexPartition(tuple(frozenset(X.vertices[i] for i in _bits(w)) for w in found))
     if not all(test(b) for b in witness.blocks):
         raise ParameterError("internal error: unsound witness")
     return EssentialityVerdict(False, witness, mode, len(verdicts))

@@ -43,7 +43,8 @@ from itertools import combinations
 import numpy as np
 
 from .cochains import RING_Z2, Cochain1
-from .complexes import SimplicialComplex, _as_tuples, lex_keys, pair_keys, run_starts
+from .complexes import SimplicialComplex, _as_tuples, _image, _is_int, lex_keys, pair_keys, \
+    run_starts
 from .errors import CapacityError, ParameterError, QuotientError, require_int
 
 MAX_QUOTIENT_FACETS = 10 ** 6
@@ -153,20 +154,6 @@ def _sphere_arrays(sc: SymmetricComplex):
         if not _is_int(x):
             raise QuotientError(f"label of vertex {v!r} must be an integer, got {x!r}")
     return names, X.facet_rows(), tau, np.array(lab)
-
-
-def _is_int(x) -> bool:
-    """A Python or numpy integer; bools are refused."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
-def _image(index, names, w) -> int:
-    """The index of the vertex w, or -1 when w is none: also when w only
-    compares equal to one, as 3.0 or True does to 3."""
-    i = index.get(w, -1)
-    if i < 0 or type(w) is type(names[i]) or _is_int(w) and _is_int(names[i]):
-        return i
-    return -1
 
 
 def _first(mask) -> int:

@@ -626,32 +626,51 @@ def _long_cycle_cocycle_blocks(seed):
 @given(st.integers(0, 2 ** 32))
 def test_mask_block_test_agrees_with_brute_preimage_beyond_two_words(seed):
     X, xi, fiber, W = _long_cycle_cocycle_blocks(seed)
-    cov = sy.build_cover(X, xi, fiber)
-    trivial = brute_cover_trivial_over(cov, W)
-    mask = _VertexMask(_as_mask(X, W))
-    assert sy.is_pi_inessential(cov, mask) == trivial  # the bitmask BFS
-    assert sy.is_pi_inessential(cov, W) == trivial  # labels: the potential check
-    with pytest.MonkeyPatch.context() as mp:  # above the cap: decoded, potential check
-        mp.setattr(sy.covers, "MAX_MASK_VERTICES", 0)
-        assert sy.is_pi_inessential(cov, mask) == trivial
+    trivial = brute_cover_trivial_over(sy.build_cover(X, xi, fiber), W)
+    mask = _as_mask(X, W)
+    # below the cap the bitmask BFS, at cap 0 the potential search, each on a
+    # fresh cochain so that its table is built under that cap
+    for cap, table in ((sy.cochains.MAX_MASK_VERTICES, list), (0, tuple)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sy.cochains, "MAX_MASK_VERTICES", cap)
+            c = sy.Cochain1(X, xi.values, xi.ring)
+            cov = sy.build_cover(X, c, fiber)
+            assert sy.is_pi_inessential(cov, mask) == trivial
+            assert sy.is_pi_inessential(cov, W) == trivial
+            assert [type(t) for t in c._tables.values()] == [table]
 
 
 def test_block_test_above_the_mask_cap_builds_no_mask(monkeypatch):
     # a 9,000-vertex cycle's double cover has 18,000 total vertices, above the
-    # cap: a labelled W reaches the potential check as given, and a search's
-    # mask only as its labels, with no (V·F)² table built either way
+    # cap: labels and a search's mask alike take the potential search, with no
+    # (V·F)² table built either way
     X = _cycle(9000)
-    cov = sy.build_cover(X, _cycle_class(X), 2)
-    assert X.num_vertices * cov.fiber > sy.covers.MAX_MASK_VERTICES
-    seen = []
-    real = sy.covers.potential_is_consistent
-    monkeypatch.setattr(sy.covers, "potential_is_consistent",
-                        lambda steps, W, modulus: seen.append(W) or real(steps, W, modulus))
-    arc = frozenset(range(8990))
-    assert sy.is_pi_inessential(cov, arc)
-    assert not sy.is_pi_inessential(cov, _VertexMask(_as_mask(X, X.vertices)))
-    assert seen[0] is arc and seen[1] == frozenset(X.vertices)
-    assert cov._masks is None
+    xi = _cycle_class(X)
+    cov = sy.build_cover(X, xi, 2)
+    assert X.num_vertices * cov.fiber > sy.cochains.MAX_MASK_VERTICES
+    monkeypatch.setattr(sy.cochains, "_neighbour_masks", None)
+    assert sy.is_pi_inessential(cov, frozenset(range(8990)))
+    assert not sy.is_pi_inessential(cov, _as_mask(X, X.vertices))
+    assert not sy.restriction_is_zero(xi, X.vertices)
+    assert [type(t) for t in xi._tables.values()] == [tuple]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_complex_cocycle_blocks())
+def test_restriction_tests_agree_on_both_sides_of_the_mask_cap(case):
+    X, xi, fiber, W = case
+    trivial = brute_cover_trivial_over(sy.build_cover(X, xi, fiber), W)
+    for cap in (sy.cochains.MAX_MASK_VERTICES, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sy.cochains, "MAX_MASK_VERTICES", cap)
+            c = sy.Cochain1(X, xi.values, xi.ring)
+            cov = sy.build_cover(X, c, fiber)
+            assert sy.is_pi_inessential(cov, _as_mask(X, W)) == trivial
+            assert sy.is_pi_inessential(cov, W) == trivial
+            if c.ring == sy.RING_Z2:
+                assert sy.restriction_is_zero(c, W) == trivial
+            else:  # over Z, always the potential search
+                assert sy.restriction_is_zero(c, W) == integer_restriction_is_zero(c, W)
 
 
 def test_homology_radius(rp2, rp2_class):

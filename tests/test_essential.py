@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import systola as sy
-from systola import essential
+from systola.complexes import _as_mask
 from systola.errors import CapacityError, DimensionError, ParameterError
 from systola.essential import _heuristic
 from systola.gf2 import _bits
@@ -30,8 +30,9 @@ def test_forest_criterion_cases():
 
 def test_forest_mask_table_is_built_once_per_complex(monkeypatch):
     built = []
-    real = essential._neighbour_masks
-    monkeypatch.setattr(essential, "_neighbour_masks", lambda X: built.append(X) or real(X))
+    real = sy.cochains._neighbour_masks
+    monkeypatch.setattr(sy.cochains, "_neighbour_masks",
+                        lambda X, shifts, fiber: built.append(X) or real(X, shifts, fiber))
     X = sy.build_complex([[1, 2], [2, 3], [1, 3], [3, 4], [4, 5], [5, 6], [6, 4], [7, 8]])
     adj = X.adjacency()
     subsets = [set(W) for k in range(len(X.vertices) + 1)
@@ -61,6 +62,29 @@ def _sparse_graph_blocks(seed):
 def test_forest_test_agrees_with_cycle_enumeration_beyond_one_word(seed):
     X, W = _sparse_graph_blocks(seed)
     assert sy.is_inessential_graph(X, W) == (not simple_cycles(X.adjacency(), W))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32))
+def test_forest_test_agrees_on_both_sides_of_the_mask_cap(seed):
+    X, W = _sparse_graph_blocks(seed)
+    forest = not simple_cycles(X.adjacency(), W)
+    with pytest.MonkeyPatch.context() as mp:  # a fresh complex, its table built above the cap
+        mp.setattr(sy.cochains, "MAX_MASK_VERTICES", 0)
+        Y = sy.build_complex(X.facets)
+        assert sy.is_inessential_graph(Y, W) == sy.is_inessential_graph(Y, _as_mask(Y, W)) == forest
+    assert sy.is_inessential_graph(X, W) == forest
+
+
+def test_forest_test_above_the_mask_cap_builds_no_mask(monkeypatch):
+    X = sy.gen_polygon(9000)
+    assert X.num_vertices > sy.cochains.MAX_MASK_VERTICES
+    monkeypatch.setattr(sy.cochains, "_neighbour_masks", None)
+    assert sy.is_inessential_graph(X, range(8990))
+    assert sy.is_inessential_graph(X, [0, 2, 3, 8999])
+    assert not sy.is_inessential_graph(X, X.vertices)
+    # the one table, on the complex's zero cochain, holds lists, not masks
+    assert [type(t) for t in X._derived["zero cochain"]._tables.values()] == [tuple]
 
 
 def test_forest_criterion_rejects_higher_dimension(rp2):

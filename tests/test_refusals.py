@@ -3,6 +3,7 @@ raises its ``SystolaError`` subclass with its message."""
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import systola as sy
@@ -17,6 +18,9 @@ RP1 = sy.build_cover(SQUARE, XI, 2)
 OCTAGON = sy.gen_symmetric_sphere(1, 4)  # vertices 0..7, v and v + 4 antipodal
 RP2 = sy.gen_named("rp2-six")
 RP2_CLASS = sy.h1_basis(RP2)[0]
+HEXAGON = sy.gen_polygon(6)
+HEX_CLASS = sy.Cochain1(HEXAGON, {(0, 1): 1})
+HEX_COVER = sy.build_cover(HEXAGON, HEX_CLASS, 2)
 
 
 def _relabelled(sphere, **views):
@@ -256,6 +260,29 @@ CASES = {
     "quotient_of_list_labels":
         (_relabelled(OCTAGON, labels=list(OCTAGON.labels.values())), ParameterError,
          "the labels must be a dict, got list"),
+    # labels that only compare equal to a vertex are no vertex (np.int64 is one:
+    # test_numpy_integer_labels_are_vertices)
+    "ball_at_a_bool_vertex":
+        (lambda: sy.ball(HEXAGON, True, 1), UnknownVertexError,
+         "True is not a vertex of the complex"),
+    "sphere_at_a_bool_vertex":
+        (lambda: sy.sphere(HEXAGON, True, 0), UnknownVertexError,
+         "True is not a vertex of the complex"),
+    "induced_on_a_bool_vertex":
+        (lambda: sy.induced(HEXAGON, [True]), UnknownVertexError,
+         r"vertices not in complex: \[True\]"),
+    "edge_distance_to_a_float_vertex":
+        (lambda: sy.edge_distance(HEXAGON, 0, 1.0), UnknownVertexError,
+         "1.0 is not a vertex of the complex"),
+    "restriction_to_a_float_vertex":
+        (lambda: sy.restriction_is_zero(HEX_CLASS, [1.0, 2]), UnknownVertexError,
+         "1.0 is not a vertex of the complex"),
+    "cover_test_on_a_float_vertex":
+        (lambda: sy.is_pi_inessential(HEX_COVER, [1.0]), UnknownVertexError,
+         "1.0 is not a vertex of the complex"),
+    "forest_test_on_a_float_vertex":
+        (lambda: sy.is_inessential_graph(HEXAGON, [1.0, 2]), UnknownVertexError,
+         "1.0 is not a vertex of the complex"),
     "quotient_of_a_facet_tuple":
         (_relabelled(OCTAGON, complex=OCTAGON.complex.facets), ParameterError,
          "the complex must be a SimplicialComplex, got tuple"),
@@ -267,3 +294,13 @@ def test_refusal(call, error, message):
     assert issubclass(error, SystolaError)
     with pytest.raises(error, match=f"^{message}"):
         call()
+
+
+def test_numpy_integer_labels_are_vertices():
+    one = np.int64(1)
+    assert sy.ball(HEXAGON, one, 1) == frozenset({0, 1, 2})
+    assert sy.edge_distance(HEXAGON, 0, one) == 1
+    assert sy.induced(HEXAGON, [one, 2]).vertex_subset == {1, 2}
+    assert sy.restriction_is_zero(HEX_CLASS, [one, 2])
+    assert sy.is_pi_inessential(HEX_COVER, [one])
+    assert sy.is_inessential_graph(HEXAGON, [one, np.int32(2)])
