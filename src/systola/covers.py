@@ -35,12 +35,14 @@ The homotopy triviality radius is floor(L/2) - 1 (inf when L is):
   potential, and x -> u -> v -> x is a nontrivial closed walk of length
   at most 2r + 1, so r >= floor(L/2).
 
-The scan's answer is checked once (``_check_witness``), trivial or not:
-one ``connected_components`` on the whole total graph must join two sheets
-of some base vertex exactly when the scan found a loop, and then one
-``dijkstra`` from (x, 0), x the lowest vertex attaining L, must confirm L
-at x.  That no other vertex has a shorter loop rests on the scan and on the
-property tests against brute-force oracles.
+The total graph is a pair of numpy CSR arrays, and the scan's answer is
+checked once on it (``_check_witness``), trivial or not: one
+``connected_components`` (an array union-find) on the whole total graph
+must join two sheets of some base vertex exactly when the scan found a
+loop, and then one frontier BFS (``dijkstra``) from (x, 0), x the lowest
+vertex attaining L, must confirm L at x.  That no other vertex has a
+shorter loop rests on the scan and on the property tests against
+brute-force oracles.
 
 The block test of essentiality searches (is the cover trivial over <W>?)
 builds no graph: it is ``cochains``' restriction test of the cocycle mod N.
@@ -49,17 +51,17 @@ builds no graph: it is ``cochains``' restriction test of the cocycle mod N.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .cochains import RING_Z, RING_Z2, Cochain1, _restricted_components, is_cocycle
 from .complexes import SimplicialComplex, _bfs
 from .errors import CapacityError, CocycleError, ParameterError, UnknownVertexError, \
     require_int
+from .gf2 import join
 
 INFINITY = math.inf
 
@@ -67,6 +69,10 @@ INFINITY = math.inf
 # with V vertices and E edges.  At the cap a scan adds about 50 MB of peak RSS
 # (8-cycle, fiber 62,500); the grid's largest cover, at (4, 8), is 80,642.
 MAX_TOTAL_GRAPH = 10 ** 6
+
+# A symmetric graph in CSR form: row i's neighbours are
+# indices[indptr[i]:indptr[i + 1]], both arrays np.intp; shape is (n, n).
+_Graph = namedtuple("_Graph", "indptr indices shape")
 
 
 @dataclass(frozen=True)
@@ -123,7 +129,7 @@ class Cover:
     # -- compiled-graph plumbing ----------------------------------------
 
     def _total_graph(self):
-        """The total space's 1-skeleton as a cached symmetric CSR matrix.
+        """The total space's 1-skeleton as a cached symmetric ``_Graph``.
 
         Built from the base's edge keys a·V + b and the cocycle's values on
         them mod F.  ``(v, sheet)`` is row ``v·F + sheet``, with v the base
@@ -147,9 +153,11 @@ class Cover:
             rows = (u[:, None] * F + sheets).ravel()
             cols = (v[:, None] * F + (sheets + shift[:, None]) % F).ravel()
             n = nv * F
-            self._graph = sparse.csr_matrix(
-                (np.ones(2 * len(rows), dtype=np.int8),
-                 (np.concatenate([rows, cols]), np.concatenate([cols, rows]))), shape=(n, n))
+            ends = np.concatenate([rows, cols])
+            indptr = np.zeros(n + 1, dtype=np.intp)
+            np.cumsum(np.bincount(ends, minlength=n), out=indptr[1:])
+            others = np.concatenate([cols, rows])[np.argsort(ends, kind="stable")]
+            self._graph = _Graph(indptr, others.astype(np.intp), (n, n))
         return self._graph
 
 
@@ -256,19 +264,59 @@ def _holonomy_scan(C: Cover):
     return C._scan
 
 
+# The two graph searches of ``_check_witness`` keep the names and call shapes
+# of the scipy.sparse.csgraph functions they replaced (``directed``, and
+# ``indices`` as a keyword), because the benchmark traces
+# ``covers.dijkstra`` and ``covers.connected_components`` under those names
+# and counts the sources in ``indices``; they stay until ROADMAP item 1's
+# benchmark revision renames those trace targets.
+
+def connected_components(graph, directed=False):
+    """(count, labels) of the components of a symmetric ``_Graph``, labels
+    numbered by lowest vertex, by one array union-find (``gf2.join``) over
+    the edges.  On a symmetric graph ``directed`` changes nothing."""
+    n = graph.shape[0]
+    parent = np.arange(n)
+    join(parent, np.repeat(parent, np.diff(graph.indptr)), graph.indices)
+    is_root = parent == np.arange(n)
+    return int(is_root.sum()), (np.cumsum(is_root) - 1)[parent]
+
+
+def dijkstra(graph, indices, limit):
+    """Edge distances in a ``_Graph`` from each source of ``indices``, one
+    row per source, inf beyond ``limit``.  A frontier BFS: each level
+    gathers the frontier rows' neighbours and marks the unreached ones in a
+    boolean array."""
+    n = graph.shape[0]
+    dist = np.full((len(indices), n), INFINITY)
+    for row, source in zip(dist, indices):
+        row[source], front, level = 0, np.array([source], dtype=np.intp), 0
+        while front.size and level < limit:
+            level += 1
+            starts = graph.indptr[front]
+            counts = graph.indptr[front + 1] - starts
+            offsets = np.repeat(starts - np.cumsum(counts) + counts, counts)
+            near = graph.indices[offsets + np.arange(len(offsets))]
+            new = np.zeros(n, dtype=bool)
+            new[near[row[near] == INFINITY]] = True
+            front = np.flatnonzero(new)
+            row[front] = level
+    return dist
+
+
 def _check_witness(C: Cover, centre, L):
-    """Raise unless scipy's ``connected_components`` on the whole total graph
+    """Raise unless ``connected_components`` on the whole total graph
     joins two sheets of some base vertex exactly when the scan found a loop
     (the graph is deck-invariant, so sheet 0 is compared with the others),
-    and, for a loop, one ``dijkstra`` from (centre, 0) limited to L finds the
-    least distance to (centre, g != 0) equal to L."""
+    and, for a loop, one BFS (``dijkstra``) from (centre, 0) limited to L
+    finds the least distance to (centre, g != 0) equal to L."""
     F = C.fiber
     graph = C._total_graph()
     labels = connected_components(graph, directed=False)[1].reshape(-1, F)
     if bool((labels[:, 1:] == labels[:, :1]).any()) != (centre is not None):
         raise ParameterError("internal error: unsound cover verdict")
     if centre is not None:
-        dist = dijkstra(graph, unweighted=True, indices=[centre * F], limit=L)[0]
+        dist = dijkstra(graph, indices=[centre * F], limit=L)[0]
         if dist[centre * F + 1:(centre + 1) * F].min() != L:
             raise ParameterError("internal error: unsound systole witness")
 

@@ -133,29 +133,61 @@ def brute_cover_trivial_over(cover, W):
     return True
 
 
-def brute_loop_lengths(cover):
-    """Oracle: base vertex x -> the least length of a nontrivial loop at x
-    (inf if none), the least dict-BFS distance from (x, 0) to some (x, g),
-    g != 0, in a total graph built edge by edge from ``cocycle.value``."""
+def total_adjacency(cover):
+    """Oracle: the total graph as a dict (v, sheet) -> neighbours, every
+    vertex a key, built edge by edge from ``cocycle.value``."""
     N = cover.fiber
-    adj = {}
+    adj = {(v, s): [] for v in cover.base.vertices for s in range(N)}
     for u, v in cover.base.faces(1):
         g = cover.cocycle.value(u, v)
         for s in range(N):
             t = (s + g) % N
-            adj.setdefault((u, s), []).append((v, t))
-            adj.setdefault((v, t), []).append((u, s))
+            adj[(u, s)].append((v, t))
+            adj[(v, t)].append((u, s))
+    return adj
+
+
+def bfs_distances(adjacency, source, limit=sy.INFINITY):
+    """Oracle: deque-BFS distances from source in a dict adjacency, only
+    those at most limit."""
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        p = queue.popleft()
+        if dist[p] == limit:
+            continue
+        for q in adjacency[p]:
+            if q not in dist:
+                dist[q] = dist[p] + 1
+                queue.append(q)
+    return dist
+
+
+def graph_components(adjacency):
+    """Oracle: the vertex sets of a dict adjacency's components, by DFS."""
+    seen, parts = set(), []
+    for root in adjacency:
+        if root not in seen:
+            part, stack = {root}, [root]
+            while stack:
+                for q in adjacency[stack.pop()]:
+                    if q not in part:
+                        part.add(q)
+                        stack.append(q)
+            seen |= part
+            parts.append(frozenset(part))
+    return parts
+
+
+def brute_loop_lengths(cover):
+    """Oracle: base vertex x -> the least length of a nontrivial loop at x
+    (inf if none), the least dict-BFS distance from (x, 0) to some (x, g),
+    g != 0, in the total graph of ``total_adjacency``."""
+    adj = total_adjacency(cover)
     lengths = {}
     for x in cover.base.vertices:
-        dist = {(x, 0): 0}
-        queue = deque([(x, 0)])
-        while queue:
-            p = queue.popleft()
-            for q in adj.get(p, ()):
-                if q not in dist:
-                    dist[q] = dist[p] + 1
-                    queue.append(q)
-        lengths[x] = min((dist[(x, g)] for g in range(1, N) if (x, g) in dist),
+        dist = bfs_distances(adj, (x, 0))
+        lengths[x] = min((dist[(x, g)] for g in range(1, cover.fiber) if (x, g) in dist),
                          default=sy.INFINITY)
     return lengths
 

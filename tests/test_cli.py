@@ -373,3 +373,22 @@ def test_python_m_systola_runs_the_cli():
         [sys.executable, "-m", "systola", "bounds", "thm12", "--n", "2", "--sys", "3"],
         capture_output=True, text=True, env=env, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "4\n", "")
+
+
+def test_no_systola_import_loads_scipy():
+    # every module, a small grid and the CLI's help run on numpy alone
+    src = str(Path(sy.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = "\n".join((
+        "import contextlib, importlib, io, pkgutil, sys",
+        "import systola as sy",
+        "for m in pkgutil.iter_modules(sy.__path__):",
+        "    importlib.import_module('systola.' + m.name)",
+        "sy.verify_grid(2, 4)",
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):",
+        "    sy.cli.main(['--help'])",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

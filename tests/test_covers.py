@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 import systola as sy
 from systola.cochains import vertex_coboundary
 from systola.complexes import _as_mask, _bfs, _VertexMask
-from systola.covers import _check_witness, _holonomy_scan
+from systola.covers import _check_witness, _holonomy_scan, connected_components, dijkstra
 from systola.errors import CapacityError, CocycleError, ParameterError, UnknownVertexError
 
-from oracles import brute_cover_trivial_over, brute_homotopy_radius, brute_loop_lengths, \
-    integer_restriction_is_zero
+from oracles import bfs_distances, brute_cover_trivial_over, brute_homotopy_radius, \
+    brute_loop_lengths, graph_components, integer_restriction_is_zero, total_adjacency
 
 
 def _cycle(m):
@@ -363,6 +363,56 @@ def test_systole_and_radius_agree_with_total_space_and_brute_force(case):
     assert sy.cover_systole(cov) == min(
         sy.edge_distance(T, (v, 0), (v, g)) for v in X.vertices for g in range(1, fiber))
     assert sy.homotopy_triviality_radius(cov) == brute_homotopy_radius(cov)
+
+
+@st.composite
+def _sparse_covers(draw):
+    """A cover of a random graph on at most 12 vertices, often disconnected,
+    with up to 3 isolated vertices and a Z2, Z3 or Z5 cochain."""
+    n = draw(st.integers(1, 12))
+    fiber = draw(st.sampled_from((2, 3, 5)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    edges = {tuple(sorted(rng.sample(range(n + 1), 2))) for _ in range(rng.randrange(n + 1))}
+    loose = range(n + 1, n + 1 + draw(st.integers(0, 3)))
+    X = sy.build_complex([list(e) for e in edges] + [[v] for v in loose] or [[0]])
+    vals = {e: rng.randrange(fiber) for e in sorted(X.faces(1))}
+    xi = sy.Cochain1(X, vals, sy.RING_Z2 if fiber == 2 else sy.RING_Z)
+    return sy.build_cover(X, xi, fiber)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_sparse_covers(), st.data())
+def test_graph_searches_agree_with_plain_python_oracles(cov, data):
+    # the total graph's CSR arrays, its components and its limited BFS
+    # against a dict adjacency built edge by edge, at limits below, at and
+    # above the source's eccentricity
+    graph, F = cov._total_graph(), cov.fiber
+    adj = total_adjacency(cov)
+    index = cov.base.vertex_index()
+    row = {p: index[p[0]] * F + p[1] for p in adj}
+    order = sorted(adj, key=row.get)
+    assert graph.shape == (len(adj), len(adj))
+    ends = zip(graph.indptr[:-1], graph.indptr[1:])
+    assert [sorted(graph.indices[a:b]) for a, b in ends] == [sorted(map(row.get, adj[p]))
+                                                               for p in order]
+    count, labels = connected_components(graph, directed=False)
+    parts = {frozenset(row[p] for p in part) for part in graph_components(adj)}
+    assert count == len(parts) and set(labels.tolist()) == set(range(count))
+    assert {frozenset(np.flatnonzero(labels == k).tolist()) for k in range(count)} == parts
+
+    def expected(source, limit=sy.INFINITY):
+        out = np.full(len(adj), sy.INFINITY)
+        for q, d in bfs_distances(adj, source, limit).items():
+            out[row[q]] = d
+        return out
+
+    source = data.draw(st.sampled_from(sorted(adj)))
+    ecc = max(bfs_distances(adj, source).values())
+    for limit in sorted({max(ecc - 1, 0), ecc, ecc + 1}):
+        dist = dijkstra(graph, indices=[row[source]], limit=limit)
+        assert np.array_equal(dist, [expected(source, limit)])
+    everyone = dijkstra(graph, indices=range(len(adj)), limit=sy.INFINITY)
+    assert np.array_equal(everyone, [expected(p) for p in order])
 
 
 def _loop_oracle(cov):
