@@ -19,9 +19,10 @@ from itertools import combinations
 import numpy as np
 
 from . import gf2
-from .complexes import InducedSubcomplex, SimplicialComplex, _as_mask, _as_tuples, lex_keys, \
-    runs
-from .errors import CocycleError, DimensionError, DomainError, ParameterError, require_int
+from .complexes import InducedSubcomplex, SimplicialComplex, _as_mask, _as_tuples, _face_ids, \
+    _image, lex_keys, runs
+from .errors import CocycleError, DimensionError, DomainError, ParameterError, \
+    UnknownVertexError, require_int
 
 RING_Z2 = "Z2"
 RING_Z = "Z"
@@ -41,16 +42,16 @@ class Cochain1:
     def __init__(self, complex: SimplicialComplex, values, ring: str = RING_Z2):
         if ring not in (RING_Z2, RING_Z):
             raise ParameterError(f"unknown coefficient ring {ring!r}")
-        index = complex.vertex_index()
-        nv = complex.num_vertices
+        index, names, nv = complex.vertex_index(), complex.vertices, complex.num_vertices
         keyed, vals = {}, {}  # each given edge, sorted, to its key a·V + b; the nonzero values
         for e, v in _items(values, "the cochain values"):
             try:
                 e = tuple(sorted(e))
                 a, b = e
-                keyed[e] = index[a] * nv + index[b]
-            except (TypeError, ValueError, KeyError):
+                i, j = _image(index, names, a), _image(index, names, b)
+            except (TypeError, ValueError):
                 raise DomainError(f"{e!r} is not an edge of the complex") from None
+            keyed[e] = -1 if min(i, j) < 0 else i * nv + j  # -1: no key, so refused below
             if type(v) is not int:  # refuses bools, floats and strings; keeps numpy ints
                 v = require_int(v, f"the value on {e!r}")
             if ring == RING_Z2:
@@ -109,7 +110,8 @@ class Cochain1:
 
 
 class CochainK:
-    """A Z2 cochain of degree k in 0..dim, stored as its support set of k-faces."""
+    """A Z2 cochain of degree k in 0..dim, stored as its support set of k-faces
+    and, from construction, as their positions in ``complex.face_rows(k)``."""
 
     __slots__ = ("complex", "degree", "support", "_ids")
 
@@ -117,25 +119,26 @@ class CochainK:
         degree = require_int(degree, "degree")
         if not 0 <= degree <= complex.dim:
             raise DimensionError(f"cochain degree {degree} out of range 0..{complex.dim}")
-        faces = complex.faces(degree)
-        supp = set()
         try:
             support = list(support)
         except TypeError:
             raise ParameterError(f"a cochain's support must be iterable, got {support!r}") from None
+        index, names = complex.vertex_index(), complex.vertices
+        faces, rows = [], []  # each given face, sorted, and its vertex indices (-1s if none)
         for f in support:
             try:
                 f = tuple(sorted(f))
-                known = f in faces
-            except TypeError:  # not iterable, or labels that cannot be ordered
-                known = False
-            if not known:
-                raise DomainError(f"{f!r} is not a {degree}-face of the complex")
-            supp.add(f)
-        self.complex = complex
-        self.degree = degree
-        self.support = frozenset(supp)
-        self._ids = None
+                row = [_image(index, names, v) for v in f]
+            except TypeError:  # not iterable, or labels that cannot be ordered or hashed
+                row = []
+            faces.append(f)
+            rows.append(row if len(row) == degree + 1 and min(row) >= 0 else [-1] * (degree + 1))
+        ids = _face_ids(complex, degree, rows)
+        missing = np.flatnonzero(ids < 0)
+        if len(missing):
+            raise DomainError(f"{faces[missing[0]]!r} is not a {degree}-face of the complex")
+        self.complex, self.degree = complex, degree
+        self.support, self._ids = frozenset(faces), np.unique(ids)
 
     @classmethod
     def _from_rows(cls, complex: SimplicialComplex, degree: int, ids) -> "CochainK":
@@ -145,20 +148,6 @@ class CochainK:
         c.complex, c.degree, c._ids = complex, degree, ids
         c.support = frozenset(_as_tuples(complex.face_rows(degree)[ids], complex.vertices))
         return c
-
-    def _face_ids(self) -> np.ndarray:
-        """Positions of the support in ``complex.face_rows(degree)``."""
-        if self._ids is None:
-            X = self.complex
-            faces = X.face_rows(self.degree)
-            index = X.vertex_index()
-            rows = np.array([[index[v] for v in f] for f in self.support],
-                            dtype=np.int64).reshape(-1, self.degree + 1)
-            # keys of both sets at once, so that ranks taken against
-            # overflow are shared
-            keys = lex_keys(np.concatenate([faces, rows]), X.num_vertices)
-            self._ids = np.searchsorted(keys[:len(faces)], keys[len(faces):])
-        return self._ids
 
     def value(self, face) -> int:
         return 1 if tuple(sorted(face)) in self.support else 0
@@ -171,13 +160,18 @@ class CochainK:
 
 
 def vertex_coboundary(X: SimplicialComplex, g, ring: str = RING_Z2) -> Cochain1:
-    """The coboundary of a 0-cochain g (a dict vertex -> integer value)."""
-    g = {v: require_int(x, f"the value at {v!r}") for v, x in _items(g, "the 0-cochain")}
-    vals = {}
-    for u, v in X.faces(1):
-        a, b = g.get(u, 0), g.get(v, 0)
-        vals[(u, v)] = (a + b) % 2 if ring == RING_Z2 else b - a
-    return Cochain1(X, vals, ring)
+    """The coboundary of a 0-cochain g (a dict vertex -> integer value); a key
+    that ``_image`` maps to no vertex is refused with ``UnknownVertexError``."""
+    index, names = X.vertex_index(), X.vertices
+    at = np.zeros(len(names), dtype=object)  # the values as given, exact
+    for v, x in _items(g, "the 0-cochain"):
+        x = require_int(x, f"the value at {v!r}")
+        if (i := _image(index, names, v)) < 0:
+            raise UnknownVertexError(f"{v!r} is not a vertex of the complex")
+        at[i] = x
+    a, b = X.face_rows(1).T
+    d = (at[a] + at[b]) % 2 if ring == RING_Z2 else at[b] - at[a]
+    return Cochain1(X, dict(zip(_as_tuples(X.face_rows(1), names), d.tolist())), ring)
 
 
 def _items(values, what: str):
@@ -223,18 +217,15 @@ def _coboundary_vanishes(c: Cochain1) -> bool:
 
 
 def coboundary(c: CochainK) -> CochainK:
-    """Z2 coboundary, one degree up."""
-    X = c.complex
-    k = c.degree
-    out = set()
-    for f in X.faces(k + 1):
-        parity = 0
-        for i in range(k + 2):
-            if f[:i] + f[i + 1:] in c.support:
-                parity ^= 1
-        if parity:
-            out.add(f)
-    return CochainK(X, k + 1, out)
+    """Z2 coboundary, one degree up: the (k+1)-face rows with an odd number
+    of their k-faces (each row with one column dropped) at c's positions."""
+    X, k = c.complex, c.degree
+    if k >= X.dim:
+        raise DimensionError(f"cochain degree {k + 1} out of range 0..{X.dim}")
+    rows = X.face_rows(k + 1)
+    ridges = _face_ids(X, k, np.concatenate([np.delete(rows, j, axis=1) for j in range(k + 2)]))
+    odd = np.isin(ridges, c._ids).reshape(k + 2, -1).sum(axis=0) % 2
+    return CochainK._from_rows(X, k + 1, np.flatnonzero(odd))
 
 
 def cup_power(classes, X: SimplicialComplex | None = None) -> CochainK:
@@ -294,7 +285,7 @@ def class_is_nonzero(c: CochainK) -> bool:
     ridges = np.concatenate([np.delete(faces, j, axis=1) for j in range(k + 1)])
     keys = lex_keys(ridges, X.num_vertices)
     order = np.argsort(keys)
-    return not gf2.in_span(runs(keys[order])[1], order % len(faces), c._face_ids())
+    return not gf2.in_span(runs(keys[order])[1], order % len(faces), c._ids)
 
 
 def h1_basis(X: SimplicialComplex) -> list[Cochain1]:

@@ -16,6 +16,8 @@ facet rows), of which ``faces(k)`` is the label-tuple view.  Every view
 is built on first read and kept in the one ``derived`` cache.  A complex on
 vertices 0..V-1 can be built from its facet rows (``_from_index_rows``);
 its facet tuples are then built only when they are read.
+A caller's label is a vertex only by ``_image`` (the vertex's type, or both integers) in
+``_as_mask``, ``has_vertex``, ``has_face``, the cochains, ``vertex_coboundary`` and the quotient.
 """
 
 from __future__ import annotations
@@ -99,13 +101,14 @@ class SimplicialComplex:
             return False
 
     def has_face(self, face) -> bool:
-        """Refuses a face that is not iterable or whose labels cannot be
-        ordered or hashed with ``MalformedFaceError``."""
+        """False for a label that ``_image`` refuses; a face that is not iterable, or
+        whose labels cannot be ordered or hashed, is a ``MalformedFaceError``."""
         try:
             face = canonical_face(face)
-            return face in self.faces(len(face) - 1)
+            row = [_image(self.vertex_index(), self.vertices, v) for v in face]
         except TypeError as exc:
             raise MalformedFaceError(f"malformed face {face!r}: {exc}") from None
+        return bool(min(row) >= 0 and _face_ids(self, len(row) - 1, [row])[0] >= 0)
 
     def adjacency(self) -> dict:
         """Vertex -> sorted tuple of neighbours in the 1-skeleton (cached)."""
@@ -123,7 +126,7 @@ class SimplicialComplex:
         return out
 
     def euler_characteristic(self) -> int:
-        return sum((-1) ** k * len(self.faces(k)) for k in range(self.dim + 1))
+        return sum((-1) ** k * len(self.face_rows(k)) for k in range(self.dim + 1))
 
     def vertex_index(self) -> dict:
         """Label -> position in the sorted vertex tuple (cached)."""
@@ -221,6 +224,17 @@ def _as_mask(X: SimplicialComplex, W) -> _VertexMask:
     return _VertexMask(int.from_bytes(bits, "little"))
 
 
+def _face_ids(X: SimplicialComplex, k: int, rows) -> np.ndarray:
+    """The positions in ``X.face_rows(k)`` of the sorted index rows ``rows`` by
+    one ``searchsorted`` of their ``lex_keys``; -1 for no k-face, as a row of -1s."""
+    faces, rows = X.face_rows(k), np.array(rows, dtype=np.int64).reshape(-1, k + 1)
+    # keys of both sets at once, so that ranks taken against overflow are shared
+    keys = lex_keys(np.concatenate([faces, rows]), X.num_vertices)
+    known, given = keys[:len(faces)], keys[len(faces):]
+    pos = np.searchsorted(known, given)
+    return np.where(np.searchsorted(known, given, "right") > pos, pos, -1)
+
+
 def _as_tuples(rows: np.ndarray, names) -> list:
     """The index rows as tuples of the labels ``names[i]``: one shared
     object per label, tuple labels such as ``(v, sheet)`` included."""
@@ -250,11 +264,13 @@ def _face_rows(X: SimplicialComplex, k: int) -> np.ndarray:
 
 
 def _adjacency(X: SimplicialComplex) -> dict:
-    nbr = {v: set() for v in X.vertices}
-    for u, v in X.faces(1):
-        nbr[u].add(v)
-        nbr[v].add(u)
-    return {v: tuple(sorted(s)) for v, s in nbr.items()}
+    # in key order each vertex meets its lower neighbours, then its higher, ascending
+    names, (u, v) = X.vertices, np.divmod(X.edge_keys(), X.num_vertices)
+    nbr = [[] for _ in names]
+    for a, b in zip(u.tolist(), v.tolist()):
+        nbr[a].append(names[b])
+        nbr[b].append(names[a])
+    return dict(zip(names, map(tuple, nbr)))
 
 
 def _facet_rows(X: SimplicialComplex) -> tuple:
@@ -424,7 +440,7 @@ class FVector:
 
 
 def f_vector(X: SimplicialComplex) -> FVector:
-    return FVector(tuple(len(X.faces(k)) for k in range(X.dim + 1)))
+    return FVector(tuple(len(X.face_rows(k)) for k in range(X.dim + 1)))
 
 
 def skeleton(X: SimplicialComplex, k: int) -> SimplicialComplex:
@@ -445,15 +461,8 @@ def barycentric_subdivision(X: SimplicialComplex) -> SimplicialComplex:
     are the maximal chains of the face poset, one per ordering of each
     facet's vertices.
     """
-    order = []
-    for k in range(X.dim + 1):
-        order.extend(sorted(X.faces(k)))
-    label = {}
-    for i, face in enumerate(order):
-        label[face] = i
-    new_facets = []
-    for f in X.facets:
-        for perm in permutations(f):
-            chain = tuple(label[tuple(sorted(perm[: j + 1]))] for j in range(len(f)))
-            new_facets.append(tuple(sorted(chain)))
-    return SimplicialComplex(set(new_facets))
+    label = {face: i for i, face in enumerate(
+        f for k in range(X.dim + 1) for f in _as_tuples(X.face_rows(k), X.vertices))}
+    # a chain's labels grow with its faces' dimension, so each chain is a sorted facet
+    return SimplicialComplex({tuple(label[tuple(sorted(perm[:j + 1]))] for j in range(len(f)))
+                              for f in X.facets for perm in permutations(f)})

@@ -264,17 +264,17 @@ def _holonomy_scan(C: Cover):
     return C._scan
 
 
-# The two graph searches of ``_check_witness`` keep the names and call shapes
-# of the scipy.sparse.csgraph functions they replaced (``directed``, and
-# ``indices`` as a keyword), because the benchmark traces
-# ``covers.dijkstra`` and ``covers.connected_components`` under those names
-# and counts the sources in ``indices``; they stay until ROADMAP item 1's
-# benchmark revision renames those trace targets.
+# The two graph searches of ``_check_witness`` keep the names of the
+# scipy.sparse.csgraph functions they replaced, their ``(count, labels)`` and
+# distance-row results, ``_Graph.shape`` and ``indices`` as a keyword, because
+# the benchmark traces ``covers.dijkstra`` and ``covers.connected_components``
+# under those names and counts the sources in ``indices``; they stay until
+# ROADMAP item 1's benchmark revision renames those trace targets.
 
-def connected_components(graph, directed=False):
+def connected_components(graph):
     """(count, labels) of the components of a symmetric ``_Graph``, labels
     numbered by lowest vertex, by one array union-find (``gf2.join``) over
-    the edges.  On a symmetric graph ``directed`` changes nothing."""
+    the edges."""
     n = graph.shape[0]
     parent = np.arange(n)
     join(parent, np.repeat(parent, np.diff(graph.indptr)), graph.indices)
@@ -312,7 +312,7 @@ def _check_witness(C: Cover, centre, L):
     finds the least distance to (centre, g != 0) equal to L."""
     F = C.fiber
     graph = C._total_graph()
-    labels = connected_components(graph, directed=False)[1].reshape(-1, F)
+    labels = connected_components(graph)[1].reshape(-1, F)
     if bool((labels[:, 1:] == labels[:, :1]).any()) != (centre is not None):
         raise ParameterError("internal error: unsound cover verdict")
     if centre is not None:

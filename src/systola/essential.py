@@ -176,10 +176,9 @@ def _heuristic(m, n, passes, rng, deadline, max_rounds):
                 return sorted(filter(None, masks), key=lambda w: w & -w)
             a = rng.choice(bad)
             dest = rng.randrange(n)
-            bit = masks[a]  # its k-th vertex, k drawn as by rng.choice(its vertices)
-            for _ in range(rng.choice(range(bit.bit_count()))):
-                bit &= bit - 1
-            bit &= -bit
+            s = bin(masks[a])[:1:-1]  # vertex i of the block at s[i]
+            k = rng.choice(range(s.count("1")))  # its k-th vertex, drawn as by rng.choice
+            bit = 1 << len(s) - 1 - len(s.split("1", k + 1)[-1])  # the "1" before the rest
             masks[a] ^= bit
             masks[dest] |= bit
             if time.monotonic() >= deadline:

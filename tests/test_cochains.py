@@ -542,5 +542,5 @@ def test_face_keys_rank_prefixes_instead_of_overflowing():
     assert X.face_rows(4).tolist() == sphere.tolist()  # combinations come sorted
     for ids, nonzero in [([4], True), ([0, 1], False), ([1, 2, 3, 4, 5], True)]:
         c = sy.CochainK(X, 4, map(tuple, sphere[ids]))
-        assert sorted(c._face_ids().tolist()) == ids
+        assert sorted(c._ids.tolist()) == ids
         assert sy.class_is_nonzero(c) is brute_class_is_nonzero(c) is nonzero

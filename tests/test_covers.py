@@ -270,10 +270,10 @@ def test_unsound_cover_verdict_is_caught(monkeypatch, rp2, rp2_class):
     # connected_components must agree with the scan on whether the cover is
     # trivial; a verdict mutated either way stops the scan before any number
     # is returned.
-    def split(graph, directed):
+    def split(graph):
         return graph.shape[0], np.arange(graph.shape[0])
 
-    def merge(graph, directed):
+    def merge(graph):
         return 1, np.zeros(graph.shape[0], dtype=np.int32)
 
     X = _cycle(8)
@@ -395,7 +395,7 @@ def test_graph_searches_agree_with_plain_python_oracles(cov, data):
     ends = zip(graph.indptr[:-1], graph.indptr[1:])
     assert [sorted(graph.indices[a:b]) for a, b in ends] == [sorted(map(row.get, adj[p]))
                                                                for p in order]
-    count, labels = connected_components(graph, directed=False)
+    count, labels = connected_components(graph)
     parts = {frozenset(row[p] for p in part) for part in graph_components(adj)}
     assert count == len(parts) and set(labels.tolist()) == set(range(count))
     assert {frozenset(np.flatnonzero(labels == k).tolist()) for k in range(count)} == parts

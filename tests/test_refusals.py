@@ -283,6 +283,21 @@ CASES = {
     "forest_test_on_a_float_vertex":
         (lambda: sy.is_inessential_graph(HEXAGON, [1.0, 2]), UnknownVertexError,
          "1.0 is not a vertex of the complex"),
+    "cochain_on_a_bool_label":
+        (lambda: sy.Cochain1(HEXAGON, {(True, 2): 1}), DomainError,
+         r"\(True, 2\) is not an edge of the complex"),
+    "cochain_on_a_float_label":
+        (lambda: sy.Cochain1(HEXAGON, {(1.0, 2): 1}), DomainError,
+         r"\(1\.0, 2\) is not an edge of the complex"),
+    "cochain_k_on_a_float_label":
+        (lambda: sy.CochainK(RP2, 1, [(1.0, 2)]), DomainError,
+         r"\(1\.0, 2\) is not a 1-face of the complex"),
+    "coboundary_at_a_float_vertex":
+        (lambda: sy.vertex_coboundary(HEXAGON, {1.0: 1}), UnknownVertexError,
+         r"1\.0 is not a vertex of the complex"),
+    "coboundary_at_an_unknown_vertex":
+        (lambda: sy.vertex_coboundary(HEXAGON, {99: 1}), UnknownVertexError,
+         "99 is not a vertex of the complex"),
     "quotient_of_a_facet_tuple":
         (_relabelled(OCTAGON, complex=OCTAGON.complex.facets), ParameterError,
          "the complex must be a SimplicialComplex, got tuple"),
@@ -304,3 +319,18 @@ def test_numpy_integer_labels_are_vertices():
     assert sy.restriction_is_zero(HEX_CLASS, [one, 2])
     assert sy.is_pi_inessential(HEX_COVER, [one])
     assert sy.is_inessential_graph(HEXAGON, [one, np.int32(2)])
+    assert sy.Cochain1(HEXAGON, {(one, 2): 1}).edge_values().tolist() == [0, 0, 1, 0, 0, 0]
+    assert sy.CochainK(RP2, 1, [(one, 2)]).support == {(1, 2)}
+    assert sy.vertex_coboundary(HEXAGON, {one: 1}) == sy.Cochain1(HEXAGON, {(0, 1): 1, (1, 2): 1})
+    assert HEXAGON.has_face((one, 2))
+
+
+def test_a_face_with_a_bool_label_is_no_face():
+    assert HEXAGON.has_face((1, 2)) and HEXAGON.has_face((True, 2)) is False
+
+
+def test_a_face_given_in_both_orders_is_one_face():
+    # a doubled face would cancel itself in the class test's target
+    both = sy.CochainK(RP2, 2, [(1, 2, 3), (3, 2, 1)])
+    assert both.support == {(1, 2, 3)}
+    assert sy.class_is_nonzero(both) is sy.class_is_nonzero(sy.CochainK(RP2, 2, [(1, 2, 3)])) is True
