@@ -33,11 +33,12 @@ class Cochain1:
 
     Over Z2 the orientation is irrelevant; over the integers the stored
     value belongs to the edge oriented from its smaller to its larger
-    vertex.  ``values`` is not changed after construction, so the cocycle
-    verdict and the restriction tables are computed at most once per cochain.
+    vertex.  The cochain is its vector of values on ``complex.edge_keys()``,
+    never changed after construction, so the cocycle verdict, the
+    restriction tables and the ``values`` dict are computed at most once.
     """
 
-    __slots__ = ("complex", "values", "ring", "_edge_values", "_tables", "_cocycle")
+    __slots__ = ("complex", "ring", "_edge_values", "_values", "_tables", "_cocycle")
 
     def __init__(self, complex: SimplicialComplex, values, ring: str = RING_Z2):
         if ring not in (RING_Z2, RING_Z):
@@ -65,14 +66,35 @@ class Cochain1:
         if len(missing):
             raise DomainError(f"{list(keyed)[missing[0]]!r} is not an edge of the complex")
         big = max(map(abs, vals.values()), default=0) >= 2 ** 61
-        self._edge_values = np.zeros(len(keys), dtype=object if big else np.int64)
-        self._edge_values[pos] = [vals.get(e, 0) for e in keyed]
-        self._edge_values.flags.writeable = False  # it must keep agreeing with ``values``
-        self.complex = complex
-        self.values = vals
-        self.ring = ring
-        self._tables = {}
-        self._cocycle = None
+        vector = np.zeros(len(keys), dtype=object if big else np.int64)
+        vector[pos] = [vals.get(e, 0) for e in keyed]
+        self._keep(complex, vector, ring)
+
+    @classmethod
+    def _from_edge_values(cls, complex: SimplicialComplex, vector, ring: str) -> "Cochain1":
+        """The cochain with value ``vector[i]`` on the i-th edge of
+        ``complex.edge_keys()``: an int64 or object array of exact integers."""
+        vector = vector % 2 if ring == RING_Z2 else vector
+        big = len(vector) and max(-vector.min(), vector.max()) >= 2 ** 61
+        c = cls.__new__(cls)
+        c._keep(complex, vector.astype(object if big else np.int64), ring)
+        return c
+
+    def _keep(self, complex, vector, ring):
+        """Take ``vector``, int64 while every magnitude is below 2**61, else Python
+        ints, reduced mod 2 over Z2, as the cochain; nothing else holds it."""
+        vector.flags.writeable = False  # the cochain is this vector
+        self.complex, self.ring, self._edge_values = complex, ring, vector
+        self._values, self._tables, self._cocycle = None, {}, None
+
+    @property
+    def values(self) -> dict:
+        """The nonzero values by sorted edge label pair, in edge order (built on first read)."""
+        if self._values is None:
+            on = np.flatnonzero(self._edge_values)
+            edges = _as_tuples(self.complex.face_rows(1)[on], self.complex.vertices)
+            self._values = dict(zip(edges, self._edge_values[on].tolist()))
+        return self._values
 
     def value(self, u, v) -> int:
         """Value on the oriented edge u -> v."""
@@ -87,21 +109,19 @@ class Cochain1:
         return self._edge_values
 
     def is_zero(self) -> bool:
-        return not self.values
+        return not self._edge_values.any()
 
     def __add__(self, other: "Cochain1") -> "Cochain1":
         if self.complex is not other.complex or self.ring != other.ring:
             raise ParameterError("cochains live on different complexes or rings")
-        out = dict(self.values)
-        for e, v in other.values.items():
-            out[e] = out.get(e, 0) + v
-        return Cochain1(self.complex, out, self.ring)
+        return Cochain1._from_edge_values(self.complex, self._edge_values + other._edge_values,
+                                          self.ring)
 
     def __eq__(self, other):
         if not isinstance(other, Cochain1):
             return NotImplemented
         return (self.complex is other.complex and self.ring == other.ring
-                and self.values == other.values)
+                and np.array_equal(self._edge_values, other._edge_values))
 
     __hash__ = None
 
@@ -170,8 +190,8 @@ def vertex_coboundary(X: SimplicialComplex, g, ring: str = RING_Z2) -> Cochain1:
             raise UnknownVertexError(f"{v!r} is not a vertex of the complex")
         at[i] = x
     a, b = X.face_rows(1).T
-    d = (at[a] + at[b]) % 2 if ring == RING_Z2 else at[b] - at[a]
-    return Cochain1(X, dict(zip(_as_tuples(X.face_rows(1), names), d.tolist())), ring)
+    return Cochain1._from_edge_values(X, at[a] + at[b] if ring == RING_Z2 else at[b] - at[a],
+                                      ring)
 
 
 def _items(values, what: str):
@@ -356,12 +376,12 @@ def h1_basis(X: SimplicialComplex) -> list[Cochain1]:
     order = np.argsort(ends)
     for star in gf2._vectors(ends[order], np.concatenate([edge, edge])[order]):
         reps.insert(star)
-    names = X.vertices
     out = []
     for x in kernel:
         residual = reps.insert(gf2._vector(i for k in gf2._bits(x) for i in members[k]))
-        out.append(Cochain1(X, {(names[a[i]], names[b[i]]): 1 for i in gf2._bits(residual)},
-                            RING_Z2))
+        vector = np.zeros(len(keys), dtype=np.int64)
+        vector[list(gf2._bits(residual))] = 1
+        out.append(Cochain1._from_edge_values(X, vector, RING_Z2))
     return out
 
 
@@ -418,7 +438,7 @@ def _restriction_table(c: Cochain1, modulus):
     in the order of ``X.edge_keys()``."""
     if modulus not in c._tables:
         X, nv, values = c.complex, c.complex.num_vertices, c.edge_values()
-        if modulus is not None and nv * modulus <= MAX_MASK_VERTICES:
+        if modulus is not None and max(nv, 1) * modulus <= MAX_MASK_VERTICES:
             c._tables[modulus] = _neighbour_masks(X, values % modulus, modulus)
         else:
             u, v = np.divmod(X.edge_keys(), nv)
@@ -431,16 +451,17 @@ def _restriction_table(c: Cochain1, modulus):
 
 def _neighbour_masks(X: SimplicialComplex, shifts, fiber: int) -> list:
     """Per vertex (v, s) of the cover with sheet changes ``shifts`` on
-    ``X.edge_keys()``, at index v + s·V, its neighbours (w, t) as bits w + t·V."""
+    ``X.edge_keys()``, at index v + s·V, its neighbours (w, t) as bits w + t·V,
+    ORed into one byte table of V·fiber rows (the oracle has the loop)."""
     nv = X.num_vertices
     u, v = np.divmod(X.edge_keys(), nv)
-    masks = [0] * (nv * fiber)
-    for a, b, d in zip(u.tolist(), v.tolist(), shifts.tolist()):
-        for s in range(fiber):
-            x, y = a + s * nv, b + (s + d) % fiber * nv
-            masks[x] |= 1 << y
-            masks[y] |= 1 << x
-    return masks
+    sheets = np.arange(fiber)
+    x = (u[:, None] + sheets * nv).ravel()
+    y = (v[:, None] + (sheets + shifts.astype(np.int64)[:, None]) % fiber * nv).ravel()
+    ends, others = np.concatenate([x, y]), np.concatenate([y, x])
+    table = np.zeros((nv * fiber, nv * fiber // 8 + 1), dtype=np.uint8)
+    np.bitwise_or.at(table, (ends, others >> 3), (1 << (others & 7)).astype(np.uint8))
+    return [int.from_bytes(row, "little") for row in table]
 
 
 def _components(masks, W: int, nv: int, fiber: int):

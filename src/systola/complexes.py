@@ -13,16 +13,18 @@ facet width, ``edge_keys`` the edges as sorted int64 keys a·V + b with
 a < b, and ``face_rows(k)`` the k-faces as sorted rows in lexicographic
 order (the edges read off their keys, the other dimensions from the
 facet rows), of which ``faces(k)`` is the label-tuple view.  Every view
-is built on first read and kept in the one ``derived`` cache.  A complex on
-vertices 0..V-1 can be built from its facet rows (``_from_index_rows``);
+is built on first read and kept in the one ``derived`` cache.  A complex
+can be built from its facet rows and vertex labels (``_from_index_rows``);
 its facet tuples are then built only when they are read.
 A caller's label is a vertex only by ``_image`` (the vertex's type, or both integers) in
-``_as_mask``, ``has_vertex``, ``has_face``, the cochains, ``vertex_coboundary`` and the quotient.
+``_as_mask``, ``has_vertex``, ``has_face``, the cochains, ``vertex_coboundary`` and the quotient,
+or, for Python ints on a complex of Python-int labels, by one ``searchsorted`` (``_int_image``).
 """
 
 from __future__ import annotations
 
 from collections import deque
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import combinations, groupby, permutations
 
@@ -60,13 +62,13 @@ class SimplicialComplex:
         self._derived = {"facets": facets}
 
     @classmethod
-    def _from_index_rows(cls, rows, num_vertices: int, edge_keys=None):
-        """The complex on vertices 0..num_vertices-1, each on some facet, whose
-        non-nested facets are the sorted rows of ``rows``, one array per width
-        in increasing width, rows in any order and of any integer dtype.
+    def _from_index_rows(cls, rows, vertices, edge_keys=None):
+        """The complex on the sorted labels ``vertices``, each on some facet, whose
+        non-nested, distinct facets are the sorted index rows of ``rows``, one array
+        per width in increasing width, rows in any order and of any integer dtype.
         ``edge_keys``, if given, must be what ``edge_keys()`` would derive."""
         X = cls.__new__(cls)
-        X.vertices = tuple(range(num_vertices))
+        X.vertices = tuple(vertices)
         X._derived = {"facet_rows": tuple(map(np.asarray, rows))}
         if edge_keys is not None:
             X._derived["edge_keys"] = edge_keys
@@ -81,7 +83,10 @@ class SimplicialComplex:
 
     @property
     def dim(self) -> int:
-        return max((len(f) for f in self.facets), default=0) - 1
+        """Read off the last facet tuple or facet-rows array: both sort by width."""
+        if "facets" in self._derived:
+            return len(self.facets[-1]) - 1 if self.facets else -1
+        return self.facet_rows()[-1].shape[1] - 1 if self.facet_rows() else -1
 
     @property
     def num_vertices(self) -> int:
@@ -206,15 +211,46 @@ def _image(index, names, w) -> int:
     return i if i < 0 or type(w) is type(names[i]) or _is_int(w) and _is_int(names[i]) else -1
 
 
+def _int_labels(X: SimplicialComplex):
+    """The labels as int64 if each is a Python int in int64 range, else None."""
+    if set(map(type, X.vertices)) <= {int}:
+        with suppress(OverflowError):
+            return np.fromiter(X.vertices, dtype=np.int64, count=X.num_vertices)
+    return None
+
+
+def _int_image(X: SimplicialComplex, labels: np.ndarray):
+    """The vertex indices of an int64 array of labels by one ``searchsorted``, or
+    None if one is no vertex or X's labels are not Python ints (``_int_labels``)."""
+    names = X.derived("int labels", _int_labels)
+    if names is not None and len(names):
+        i = names.searchsorted(labels)
+        if (names.take(i, mode="clip") == labels).all():
+            return i
+    return None
+
+
 def _as_mask(X: SimplicialComplex, W) -> _VertexMask:
     """W's vertex bitmask, a ``_VertexMask`` as it is: the one place a vertex
-    subset becomes indices or is refused (``UnknownVertexError``)."""
+    subset becomes indices or is refused (``UnknownVertexError``): Python ints
+    by ``_int_image``, any other set, or one with no vertex, by ``_image``."""
     if type(W) is _VertexMask:
         return W
+    try:
+        items = list(W)
+    except TypeError:
+        raise UnknownVertexError(f"{W!r} is not a collection of vertex labels") from None
+    if set(map(type, items)) <= {int}:
+        with suppress(OverflowError):
+            i = _int_image(X, np.fromiter(items, dtype=np.int64, count=len(items)))
+            if i is not None:
+                hit = np.frombuffer(bytearray(X.num_vertices), dtype=bool)
+                hit[i] = True
+                return _VertexMask(int.from_bytes(np.packbits(hit, bitorder="little"), "little"))
     index, names = X.vertex_index(), X.vertices
     bits = bytearray(len(names) // 8 + 1)
     try:
-        for v in W:
+        for v in items:
             i = _image(index, names, v)
             if i < 0:
                 raise UnknownVertexError(f"{v!r} is not a vertex of the complex")
@@ -258,7 +294,12 @@ def _face_rows(X: SimplicialComplex, k: int) -> np.ndarray:
     parts = [R[:, cols] for R in X.facet_rows() if R.shape[1] > k
              for cols in map(list, combinations(range(R.shape[1]), k + 1))]
     rows = np.concatenate(parts) if parts else np.empty((0, k + 1), dtype=np.int64)
-    keys = lex_keys(rows, X.num_vertices)
+    return _distinct_rows(rows, X.num_vertices)
+
+
+def _distinct_rows(rows: np.ndarray, base: int) -> np.ndarray:
+    """The distinct rows of a 2-D array of integers in [0, base), in lexicographic order."""
+    keys = lex_keys(rows, base)
     order = np.argsort(keys)
     return rows[order[run_starts(keys[order])]]
 

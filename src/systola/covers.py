@@ -142,7 +142,7 @@ class Cover:
             F = self.fiber
             nv = self.base.num_vertices
             keys = self.base.edge_keys()
-            size = (nv + len(keys)) * F
+            size = (max(nv, 1) + len(keys)) * F  # one vertex at least, so F is capped too
             if size > MAX_TOTAL_GRAPH:
                 raise CapacityError(
                     f"the total graph of a {F}-fold cover would have {size:,} vertices "

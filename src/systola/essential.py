@@ -20,7 +20,9 @@ import random
 import time
 from dataclasses import dataclass
 
-from .cochains import Cochain1, _restricted_components, _restriction_table
+import numpy as np
+
+from .cochains import RING_Z2, Cochain1, _restricted_components, _restriction_table
 from .complexes import SimplicialComplex, _as_mask, _VertexMask
 from .covers import Cover, is_pi_inessential
 from .errors import CapacityError, DimensionError, ParameterError, require_int
@@ -106,7 +108,8 @@ def subdivision_vertex_lower_bound(n: int) -> int:
 def _is_forest(X, W) -> bool:
     """Whether <W> is a forest: one with |W| - c edges (2 ends each), c its
     component count, both read off the restriction table of X's zero cochain."""
-    zero = X.derived("zero cochain", lambda X: Cochain1(X, {}))
+    zero = X.derived("zero cochain", lambda X: Cochain1._from_edge_values(
+        X, np.zeros(len(X.edge_keys()), dtype=np.int64), RING_Z2))
     W = _as_mask(X, W)
     count, table = _restricted_components(zero, 1, W), _restriction_table(zero, 1)
     if type(table) is list:

@@ -16,18 +16,18 @@ array slices and takes the involution and labels in closed form: copy v
 in layer l maps to copy tau[v] in the mirror layer s - l, the poles swap,
 and v is positive iff v < tau[v], numbered in vertex order.  The sphere's
 complex is built from the facet rows, and its involution and labels are
-dicts of plain ``int``s.
+dicts of plain ``int``s made from the two arrays, which it keeps.
 
 The antipodal quotient is a projective-space triangulation with edge
 systole exactly s.  Its vertex i is the i-th positive-label vertex with
 its antipode, and a negative label marks sheet 1.  ``quotient`` reads any
 sphere, generated or hand-built, as the same arrays: the complex's facet
-rows, and the involution and labels through its vertex index.  It checks
-the sphere's edges as packed pair keys and reads the sheet-transition
+rows, and the involution and labels as kept, or through its vertex index.
+It checks the sphere's edges as packed pair keys and reads the sheet-transition
 cocycle, which reconstructs the sphere as the quotient's double cover.
 The quotient's vertices are 0..nq-1, so it is built from its facet rows
-and the edge keys of the lift check, and the cover build reads no facet
-tuple.
+and the edge keys of the lift check, its cocycle from the sheet changes on
+those keys, and the cover build reads no facet tuple.
 
 The fixture sizes (``gen_polygon``, ``gen_complete_graph``) must be
 integers, as the sphere parameters must; bools, floats and strings are
@@ -37,14 +37,13 @@ refused with ``ParameterError``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
 
 from .cochains import RING_Z2, Cochain1
-from .complexes import SimplicialComplex, _as_tuples, _image, _is_int, lex_keys, pair_keys, \
-    run_starts
+from .complexes import SimplicialComplex, _image, _is_int, lex_keys, pair_keys, run_starts
 from .errors import CapacityError, ParameterError, QuotientError, require_int
 
 MAX_QUOTIENT_FACETS = 10 ** 6
@@ -55,12 +54,15 @@ class SymmetricComplex:
     """A complex with a free simplicial involution and signed labels.
 
     Antipodal vertices carry labels of equal absolute value and opposite
-    sign, so ordering by label is reversed by the involution.
+    sign, so ordering by label is reversed by the involution.  A generated
+    sphere keeps the arrays its dicts were made from, and ``quotient`` reads
+    those: change a copy (``replace``), whose dicts are read, not its dicts.
     """
 
     complex: SimplicialComplex
     involution: dict
     labels: dict
+    _arrays: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def _polygon_sphere(s: int):
@@ -119,16 +121,17 @@ def gen_symmetric_sphere(n: int, s: int) -> SymmetricComplex:
     """
     n = require_int(n, "n", 1)
     s = require_int(s, "s", 3)  # s < 3 would identify edge endpoints in the quotient
-    facets = quotient_facet_count(n, s)
-    if facets > MAX_QUOTIENT_FACETS:
-        raise CapacityError(
-            f"the ({n}, {s}) quotient would have {facets:,} facets, above the "
-            f"cap of {MAX_QUOTIENT_FACETS:,}")
+    # each factor is at least 3, so the first bit_length factors already pass the cap
+    if quotient_facet_count(min(n, MAX_QUOTIENT_FACETS.bit_length()), s) > MAX_QUOTIENT_FACETS:
+        raise CapacityError(f"the ({n}, {s}) quotient would have more than "
+                            f"{MAX_QUOTIENT_FACETS:,} facets, the cap")
     facets, tau, lab = _polygon_sphere(s)
     for _ in range(n - 1):
         facets, tau, lab = _add_layers(facets, tau, lab, s)
-    return SymmetricComplex(SimplicialComplex._from_index_rows([facets], len(tau)),
-                            dict(enumerate(tau.tolist())), dict(enumerate(lab.tolist())))
+    sc = SymmetricComplex(SimplicialComplex._from_index_rows([facets], range(len(tau))),
+                          dict(enumerate(tau.tolist())), dict(enumerate(lab.tolist())))
+    object.__setattr__(sc, "_arrays", (tau, lab))
+    return sc
 
 
 def _sphere_arrays(sc: SymmetricComplex):
@@ -139,6 +142,8 @@ def _sphere_arrays(sc: SymmetricComplex):
     label 0.
     """
     X, involution, labels = sc.complex, sc.involution, sc.labels
+    if sc._arrays is not None:
+        return X.vertices, X.facet_rows(), *sc._arrays
     if not isinstance(X, SimplicialComplex):
         raise ParameterError(f"the complex must be a SimplicialComplex, got {type(X).__name__}")
     for name, view in (("involution", involution), ("labels", labels)):
@@ -231,9 +236,8 @@ def quotient(sc: SymmetricComplex):
     if conflicts:
         raise QuotientError(f"identification conflict on {conflicts} facets")
     # Q's edges are the sphere's edges' images, and its vertices are 0..nq-1
-    Q = SimplicialComplex._from_index_rows(rows, nq, edge_keys=qkey)
-    odd = _as_tuples(np.column_stack(np.divmod(qkey[flip], nq)), Q.vertices)
-    return Q, Cochain1(Q, dict.fromkeys(odd, 1), RING_Z2)
+    Q = SimplicialComplex._from_index_rows(rows, range(nq), edge_keys=qkey)
+    return Q, Cochain1._from_edge_values(Q, flip.astype(np.int64), RING_Z2)
 
 
 def gen_projective_space(n: int, s: int):

@@ -7,16 +7,26 @@ under read/write round trips.  Cochain files: ``{"edges": [[u, v], ...],
 the complex they belong to.  Loading validates every field: labels and
 values must be JSON integers (not floats or booleans), Z2 values 0 or 1,
 and malformed documents raise :class:`~systola.errors.ParameterError`.
+
+The loaders take an array path: facets of one width become sorted, distinct
+int64 rows relabelled by ``np.unique`` (``_from_index_rows``), and cochain
+edges that are exactly the complex's edges, mapped by one ``searchsorted``,
+order the values into the edge vector.  Facets of several widths (nested
+faces to absorb) and any document that fails a check take the label path,
+``build_complex`` or ``Cochain1``: an equal result, or the label path's own error.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from itertools import chain
 from pathlib import Path
 
+import numpy as np
+
 from .cochains import RING_Z, RING_Z2, Cochain1
-from .complexes import SimplicialComplex, _as_tuples, build_complex
+from .complexes import SimplicialComplex, _as_tuples, _distinct_rows, _int_image, build_complex
 from .errors import ParameterError
 
 
@@ -41,11 +51,20 @@ def _only_ints(items) -> bool:
 
 
 def _label_lists(rows, field: str) -> list:
-    """``rows`` as a list of tuples of integer labels, or ParameterError."""
+    """``rows``, checked to be a list of lists of integer labels, or ParameterError."""
     if (type(rows) is not list or not set(map(type, rows)) <= {list}
             or not _only_ints(chain.from_iterable(rows))):
         raise ParameterError(f"'{field}' must be a list of lists of integer labels")
-    return [tuple(r) for r in rows]
+    return rows
+
+
+def _int_rows(rows):
+    """The label lists as an int64 array, each row sorted; None unless they are
+    nonempty, of one width and in int64 range."""
+    with suppress(OverflowError, ValueError):  # ValueError: rows of several widths
+        A = np.sort(np.array(rows, dtype=np.int64), axis=1)
+        return A if A.size else None
+    return None
 
 
 def dumps_complex(X: SimplicialComplex) -> str:
@@ -61,7 +80,14 @@ def loads_complex(text: str) -> SimplicialComplex:
     doc = _parse(text, "complex")
     if "facets" not in doc:
         raise ParameterError("complex document needs a 'facets' field")
-    X = build_complex(_label_lists(doc["facets"], "facets"))
+    rows = _label_lists(doc["facets"], "facets")
+    A = _int_rows(rows)
+    if A is not None and (A[:, 1:] > A[:, :-1]).all():  # no facet repeats a vertex
+        labels, inverse = np.unique(A, return_inverse=True)
+        X = SimplicialComplex._from_index_rows(
+            [_distinct_rows(inverse.reshape(A.shape), len(labels))], labels.tolist())
+    else:
+        X = build_complex(rows)
     declared = doc.get("vertices")
     if declared is not None:
         if type(declared) is not list or not _only_ints(declared):
@@ -112,6 +138,16 @@ def loads_cochain(text: str, X: SimplicialComplex, ring: str = RING_Z2) -> Cocha
         raise ParameterError("'edges' and 'values' have different lengths")
     if set(map(len, edges)) - {2}:
         raise ParameterError("cochain 'edges' must be vertex pairs")
+    keys, A = X.edge_keys(), _int_rows(edges)
+    if A is not None and len(A) == len(keys) and ring in (RING_Z2, RING_Z):
+        ends = _int_image(X, A)
+        if ends is not None:
+            given = ends[:, 0] * X.num_vertices + ends[:, 1]
+            order = np.argsort(given)
+            if np.array_equal(given[order], keys):  # the pairs are exactly the edges
+                vector = np.array(values, dtype=np.int64 if ring == RING_Z2 else object)
+                return Cochain1._from_edge_values(X, vector[order], ring)
+    edges = list(map(tuple, edges))
     listed = {(u, v) if u < v else (v, u) for u, v in edges}
     if len(listed) != len(edges):
         raise ParameterError("cochain 'edges' lists an edge twice")

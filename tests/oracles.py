@@ -147,6 +147,20 @@ def total_adjacency(cover):
     return adj
 
 
+def loop_neighbour_masks(X, shifts, fiber):
+    """Oracle: ``cochains._neighbour_masks`` edge by edge and sheet by sheet,
+    the neighbours of cover vertex (v, s), at index v + s·V, as bits w + t·V."""
+    nv = X.num_vertices
+    u, v = divmod(X.edge_keys(), nv)
+    masks = [0] * (nv * fiber)
+    for a, b, d in zip(u.tolist(), v.tolist(), shifts.tolist()):
+        for s in range(fiber):
+            x, y = a + s * nv, b + (s + d) % fiber * nv
+            masks[x] |= 1 << y
+            masks[y] |= 1 << x
+    return masks
+
+
 def bfs_distances(adjacency, source, limit=sy.INFINITY):
     """Oracle: deque-BFS distances from source in a dict adjacency, only
     those at most limit."""

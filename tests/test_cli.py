@@ -109,6 +109,15 @@ TRANSCRIPT = [
      '      "vertex_budget": 3,\n      "vertices": 3\n    }\n  ],\n  "seed": 0\n}\n', ""),
     ("verify-all --n-max 1 --s-max 3 --threads 2", 1, "",
      "usage error: unrecognized arguments: --threads 2\n"),
+    # size caps refuse before any work: a fiber counts at least one vertex
+    ("systole empty.cx --cocycle empty.cx.cocycle --fiber z1099511627776", 1, "",
+     "error: the total graph of a 1099511627776-fold cover would have 1,099,511,627,776 "
+     "vertices and edges, above the cap of 1,000,000\n"),
+    ("lnorm empty.cx --cocycle empty.cx.cocycle --fiber z1099511627776", 1, "",
+     "error: the total graph of a 1099511627776-fold cover would have 1,099,511,627,776 "
+     "vertices and edges, above the cap of 1,000,000\n"),
+    ("gen rp --dim 1000000 --systole 3 -o huge.cx", 1, "",
+     "error: the (1000000, 3) quotient would have more than 1,000,000 facets, the cap\n"),
 ]
 
 
@@ -121,6 +130,9 @@ def cli_dir(tmp_path_factory):
         if name != "k7":
             for i, c in enumerate(sy.h1_basis(X), 1):
                 sy.write_cochain(c, d / f"{name}.cx.cocycle{i if i > 1 else ''}")
+    empty = sy.build_complex([])
+    sy.write_complex(empty, d / "empty.cx")
+    sy.write_cochain(sy.Cochain1(empty, {}, sy.RING_Z), d / "empty.cx.cocycle")
     return d
 
 

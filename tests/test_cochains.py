@@ -122,7 +122,7 @@ def test_int32_rows_check_a_cocycle_exactly_past_2_31(ring):
     # a strip of triangles (i, i+1, i+2): its edge keys a·V + b pass 2**31
     V = 50_000
     i = np.arange(V - 2, dtype=np.int32)
-    X = sy.SimplicialComplex._from_index_rows([np.column_stack([i, i + 1, i + 2])], V)
+    X = sy.SimplicialComplex._from_index_rows([np.column_stack([i, i + 1, i + 2])], range(V))
     assert X.facet_rows()[0].dtype == np.int32 and X.edge_keys()[-1] >= 2 ** 31
     top = (V - 3, V - 1)
     assert not sy.is_cocycle(sy.Cochain1(X, {top: 1}, ring))
@@ -536,7 +536,7 @@ def test_face_keys_rank_prefixes_instead_of_overflowing():
     i = np.arange(V - 2)
     S = [0, 2, 4, V - 5, V - 3, V - 1]
     sphere = np.array([f for f in itertools.combinations(S, 5)])
-    X = sy.SimplicialComplex._from_index_rows([np.column_stack([i, i + 1, i + 2]), sphere], V)
+    X = sy.SimplicialComplex._from_index_rows([np.column_stack([i, i + 1, i + 2]), sphere], range(V))
     assert X.face_rows(4).tolist() == sorted(map(list, X.faces(4)))
     assert X.face_rows(3).tolist() == sorted(map(list, X.faces(3)))
     assert X.face_rows(4).tolist() == sphere.tolist()  # combinations come sorted

@@ -164,7 +164,7 @@ def test_row_built_complex_takes_rows_in_any_order():
     tuples = sy.build_complex([(0, 1, 2), (0, 2, 3), (1, 2, 4), (3, 5), (4, 5)])
     rows = [np.array([[4, 5], [3, 5]], dtype=np.int32),
             np.array([[1, 2, 4], [0, 1, 2], [0, 2, 3]], dtype=np.int32)]
-    X = sy.SimplicialComplex._from_index_rows(rows, 6)
+    X = sy.SimplicialComplex._from_index_rows(rows, range(6))
     assert X == tuples and X.facets == tuples.facets and repr(X) == repr(tuples)
     assert X.vertices == tuples.vertices and X.adjacency() == tuples.adjacency()
     assert all(X.faces(k) == tuples.faces(k) for k in range(3))
@@ -219,3 +219,13 @@ def test_row_keys_do_not_wrap_when_a_rank_times_the_base_would():
     assert np.argsort(keys).tolist() == [0, 1, 2, 3]
     keys = lex_keys(np.array([[2 ** 63 - 1, 0], [0, 1], [0, 0]]), 2 ** 63)
     assert np.argsort(keys).tolist() == [2, 1, 0]
+
+
+def test_dim_reads_the_facet_rows_without_building_facet_tuples(monkeypatch):
+    monkeypatch.setattr(sy.complexes, "_row_facets", None)  # no facet tuple may be built
+    Q, xi = sy.quotient(sy.gen_symmetric_sphere(3, 4))
+    assert Q.dim == 3 and sy.class_is_nonzero(sy.cup_power([xi] * 3, Q))
+    X = sy.loads_complex('{"facets": [[4, 9], [9, 2], [7]]}')  # mixed widths: tuples
+    Y = sy.loads_complex('{"facets": [[4, 9], [9, 2]]}')  # one width: rows
+    assert X.dim == Y.dim == 1 and sy.build_complex([[5]]).dim == 0
+    assert sy.build_complex([]).dim == -1

@@ -14,7 +14,8 @@ from systola.covers import _check_witness, _holonomy_scan, connected_components,
 from systola.errors import CapacityError, CocycleError, ParameterError, UnknownVertexError
 
 from oracles import bfs_distances, brute_cover_trivial_over, brute_homotopy_radius, \
-    brute_loop_lengths, graph_components, integer_restriction_is_zero, total_adjacency
+    brute_loop_lengths, graph_components, integer_restriction_is_zero, loop_neighbour_masks, \
+    total_adjacency
 
 
 def _cycle(m):
@@ -747,3 +748,67 @@ def test_both_radii_bounded_by_half_systole(quotient23):
     bound = sy.cover_systole(cov) // 2 - 1
     assert sy.homotopy_triviality_radius(cov) <= bound
     assert sy.homology_triviality_radius(Q, [xi]) <= bound
+
+
+def _labelled_graph(rng):
+    """A random graph on 0 to 40 sparse, partly negative int labels, with isolated
+    vertices and no vertex at all sometimes."""
+    labels = sorted(rng.sample(range(-60, 200), rng.randrange(41)))
+    edges = [rng.sample(labels, 2) for _ in range(rng.randrange(2 * len(labels) + 1))
+             if len(labels) >= 2]
+    return sy.build_complex(edges + [[v] for v in labels]), labels
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32), st.sampled_from((1, 2, 3, 5)))
+def test_bulk_masks_equal_the_loops(seed, fiber):
+    # the byte-table neighbour masks against the edge-by-edge loop, and a
+    # Python-int vertex set mapped in bulk against the label-by-label path
+    # (numpy ints take it) and against plain positions
+    rng = random.Random(seed)
+    X, labels = _labelled_graph(rng)
+    shifts = np.array([rng.randrange(fiber) for _ in X.edge_keys()], dtype=np.int64)
+    assert sy.cochains._neighbour_masks(X, shifts, fiber) == loop_neighbour_masks(X, shifts, fiber)
+    W = rng.sample(labels, rng.randrange(len(labels) + 1))
+    W += W[:rng.randrange(3)]  # repeats
+    expected = sum(1 << X.vertices.index(v) for v in set(W))
+    assert _as_mask(X, W) == _as_mask(X, iter(W)) == _as_mask(X, frozenset(W)) == expected
+    assert _as_mask(X, [np.int64(v) for v in W]) == expected
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, np.float64(1), 99, -1, 2 ** 70])
+def test_vertex_masks_refuse_what_the_label_rule_refuses(bad):
+    X = sy.gen_polygon(6)
+    for W in ([bad], [0, 2, bad], (3, bad, 4)):
+        with pytest.raises(UnknownVertexError, match=f"^{re.escape(repr(bad))} is not a vertex"):
+            _as_mask(X, W)
+    empty = sy.build_complex([])
+    with pytest.raises(UnknownVertexError, match="^0 is not a vertex"):
+        _as_mask(empty, [0])
+    assert _as_mask(empty, []) == 0
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32))
+def test_ball_matches_the_oracle_bfs(seed):
+    rng = random.Random(seed)
+    X, labels = _labelled_graph(rng)
+    if not labels:
+        return
+    adj = {v: [] for v in X.vertices}
+    for u, v in X.faces(1):
+        adj[u].append(v)
+        adj[v].append(u)
+    x, r = rng.choice(labels), rng.randrange(5)
+    assert sy.ball(X, x, r) == frozenset(bfs_distances(adj, x, r))
+
+
+def test_fiber_caps_count_one_vertex_on_an_empty_complex(monkeypatch):
+    X = sy.build_complex([])
+    cov = sy.build_cover(X, sy.Cochain1(X, {}, sy.RING_Z), 2 ** 40)
+    for measure in (sy.cover_systole, sy.homotopy_triviality_radius):
+        with pytest.raises(CapacityError, match="1,099,511,627,776 vertices and edges"):
+            measure(cov)
+    # the restriction test takes the potential search: no masks over 2**40 sheets
+    monkeypatch.setattr(sy.cochains, "_components", None)
+    assert sy.is_pi_inessential(cov, [])

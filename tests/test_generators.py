@@ -1,4 +1,5 @@
 import hashlib
+import time
 from itertools import combinations
 
 import numpy as np
@@ -89,6 +90,16 @@ def test_oversized_sphere_is_refused_before_building(monkeypatch):
         sy.gen_symmetric_sphere(9, 3)
     with pytest.raises(CapacityError):
         sy.gen_symmetric_sphere(4, 40)
+
+
+def test_a_huge_sphere_is_refused_before_its_count_is_multiplied_out():
+    # all 10**6 factors multiplied out would take minutes; the refusal stops
+    # once the running product passes the cap
+    t0 = time.monotonic()
+    with pytest.raises(CapacityError, match=r"more than 1,000,000 facets"):
+        sy.gen_symmetric_sphere(10 ** 6, 3)
+    assert time.monotonic() - t0 < 1
+    assert quotient_facet_count(9, 3) == 3 * 4 * 5 * 6 * 7 * 8 * 9 * 10 * 11  # still exact
 
 
 def test_layer_structure_of_suspension():

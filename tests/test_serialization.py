@@ -1,7 +1,13 @@
+import json
+import random
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import systola as sy
-from systola.errors import ParameterError
+from systola.errors import DomainError, MalformedFaceError, ParameterError
 
 
 def test_complex_round_trip(tmp_path, rp2):
@@ -129,3 +135,75 @@ def test_partial_cochain_edge_list_rejected():
         sy.loads_cochain('{"edges": [[0, 1], [1, 0], [1, 2]], "values": [1, 1, 0]}', X)
     with pytest.raises(ParameterError, match="pairs"):
         sy.loads_cochain('{"edges": [[0, 1], [0, 2], [0, 1, 2]], "values": [1, 1, 0]}', X)
+
+
+def _facet_lists(rng):
+    """Facets of one to three widths on sparse, negative and large int labels (a
+    few beyond int64), shuffled, each unsorted, some listed twice."""
+    big = rng.random() < 0.1
+    pool = [rng.choice((-1, 1)) * rng.randrange(2 ** (70 if big else 62)) for _ in range(12)]
+    labels = sorted(set(pool[:rng.randrange(1, 13)]))
+    sizes = range(1, min(len(labels), 4) + 1)
+    widths = rng.sample(sizes, rng.randrange(1, min(len(sizes), 3) + 1))
+    facets = [rng.sample(labels, rng.choice(widths)) for _ in range(rng.randrange(1, 16))]
+    facets += [f[::-1] for f in rng.sample(facets, rng.randrange(len(facets) + 1))]
+    rng.shuffle(facets)
+    return facets
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32), st.sampled_from((sy.RING_Z2, sy.RING_Z)))
+def test_array_loaders_equal_the_label_path(seed, ring):
+    # one-width documents take the array path, the rest build_complex; either way
+    # the complex and its cochains equal those the label path builds
+    rng = random.Random(seed)
+    facets = _facet_lists(rng)
+    want = sy.build_complex(facets)
+    got = sy.loads_complex(json.dumps({"facets": facets}))
+    assert got == want and got.facets == want.facets and got.vertices == want.vertices
+    assert type(got.vertices[0]) is int and got.dim == want.dim
+    assert np.array_equal(got.edge_keys(), want.edge_keys())
+    assert sy.dumps_complex(got) == sy.dumps_complex(want)
+    values = {e: rng.choice((0, 1) if ring == sy.RING_Z2 else (0, 1, -3, 2 ** 61, -2 ** 70))
+              for e in sorted(want.faces(1))}
+    pairs = [list(e) if rng.randrange(2) else list(e[::-1]) for e in values]
+    order = rng.sample(range(len(pairs)), len(pairs))
+    text = json.dumps({"edges": [pairs[i] for i in order],
+                       "values": [list(values.values())[i] for i in order]})
+    c, reference = sy.loads_cochain(text, got, ring), sy.Cochain1(want, values, ring)
+    assert c.values == reference.values
+    assert c.edge_values().dtype == reference.edge_values().dtype
+    assert np.array_equal(c.edge_values(), reference.edge_values())
+    assert sy.dumps_cochain(c) == sy.dumps_cochain(reference)
+
+
+_T = '{"facets": [[0, 1, 2]]}'
+
+
+@pytest.mark.parametrize("complex_doc, cochain_doc, ring, error, message", [
+    ('{"facets": [[1, 2], [2, 2]]}', None, None, MalformedFaceError,
+     r"face \(2, 2\) repeats vertex 2"),
+    ('{"facets": [[5, 5, 5]]}', None, None, MalformedFaceError, r"face \(5, 5, 5\) repeats"),
+    ('{"facets": [[]]}', None, None, MalformedFaceError, "empty face"),
+    ('{"facets": [[1, 2], [2, 3]], "vertices": [1, 2, 3, 4]}', None, None, ParameterError,
+     r"declared vertices missing from every facet: \[4\]"),
+    (_T, '{"edges": [[0, 1], [0, 2], [0, 1]], "values": [1, 0, 0]}', "Z2", ParameterError,
+     "cochain 'edges' lists an edge twice"),
+    (_T, '{"edges": [[0, 1], [0, 2], [1, 1]], "values": [1, 0, 0]}', "Z", DomainError,
+     r"\(1, 1\) is not an edge"),
+    (_T, '{"edges": [[0, 1], [0, 2], [5, 6]], "values": [1, 0, 0]}', "Z2", DomainError,
+     r"\(5, 6\) is not an edge"),
+    (_T, '{"edges": [[0, 1], [0, 2], [1, 2], [0, 3]], "values": [1, 0, 0, 1]}', "Z2",
+     DomainError, r"\(0, 3\) is not an edge"),
+    (_T, '{"edges": [[0, 1], [0, 2], [18446744073709551616, 2]], "values": [1, 0, 0]}', "Z",
+     DomainError, r"\(2, 18446744073709551616\) is not an edge"),
+    (_T, '{"edges": [[1, 0], [2, 0], [2, 1]], "values": [1, 0, 1]}', "Q", ParameterError,
+     "unknown coefficient ring 'Q'"),
+])
+def test_documents_the_array_path_hands_back_keep_their_errors(complex_doc, cochain_doc, ring,
+                                                              error, message):
+    # each passes the field checks but fails a check of the array path, so the
+    # label path decides, with its own error type and message
+    with pytest.raises(error, match=f"^{message}"):
+        X = sy.loads_complex(complex_doc)
+        sy.loads_cochain(cochain_doc, X, ring)
