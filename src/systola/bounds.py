@@ -22,9 +22,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParameterError, require_int
+from .errors import CapacityError, ParameterError, require_int
 
 INFINITY = math.inf
+# Cells above which a table, or a closed form in n and s by its n x (floor(s/2) + 1)
+# table, is refused before it is built; 10**6 cells take about 0.3 s and 0.2 GB.
+MAX_TABLE_CELLS = 10 ** 6
 
 
 def comb0(n: int, k: int) -> int:
@@ -32,6 +35,12 @@ def comb0(n: int, k: int) -> int:
     if k < 0 or n < 0 or k > n:
         return 0
     return math.comb(n, k)
+
+
+def _require_cells(rows: int, columns: int, what: str) -> None:
+    if rows * columns > MAX_TABLE_CELLS:
+        raise CapacityError(f"{what} would have {rows * columns:,} cells, "
+                            f"above the cap of {MAX_TABLE_CELLS:,}")
 
 
 @dataclass(frozen=True)
@@ -64,6 +73,7 @@ def essential_ball_bounds(n_max: int, i_max: int, r: int) -> BoundTable:
     r = require_int(r, "r", 0)
     if i_max > r + 1:
         raise ParameterError(f"entries beyond i = r+1 = {r + 1} are undefined")
+    _require_cells(n_max, i_max + 1, "the essential table")
     first = [2 * i + 1 if i <= r else 2 * r + 2 for i in range(i_max + 1)]
     rows = [tuple(first)]
     for _ in range(2, n_max + 1):
@@ -80,6 +90,7 @@ def cup_ball_bounds(n_max: int, i_max: int) -> BoundTable:
     """Ball-growth lower bounds under a nonzero length-n cup product."""
     n_max = require_int(n_max, "n_max", 0)
     i_max = require_int(i_max, "i_max", 0)
+    _require_cells(n_max + 1, i_max + 1, "the cup table")
     rows = [tuple([1] * (i_max + 1))]
     for _ in range(1, n_max + 1):
         prev = rows[-1]
@@ -96,6 +107,7 @@ def delannoy_table(n_max: int, i_max: int) -> BoundTable:
     """Coefficients of 1/(1-v-u-uv) via the three-term recurrence."""
     n_max = require_int(n_max, "n_max", 0)
     i_max = require_int(i_max, "i_max", 0)
+    _require_cells(n_max + 1, i_max + 1, "the Delannoy table")
     rows = [tuple([1] * (i_max + 1))]
     for _ in range(1, n_max + 1):
         prev = rows[-1]
@@ -135,6 +147,7 @@ def essential_vertex_lower_bound(n: int, sys_length):
     half = _half(sys_length)
     if half < 0:
         return INFINITY
+    _require_cells(n, half + 1, "the essential vertex bound's table")
     m = n + half - 1
     return comb0(m, n - 1) + 2 * comb0(m, n)
 
@@ -165,6 +178,7 @@ def cup_vertex_lower_bound(n: int, sys_length):
     half = _half(sys_length)
     if half < 0:
         return INFINITY
+    _require_cells(n, half + 1, "the cup vertex bound's table")
     return 2 ** n * comb0(half, n)
 
 
@@ -200,6 +214,7 @@ def fvector_lower_bounds(n: int, s: int) -> FVectorBounds:
     """
     n = require_int(n, "n", 1)
     half = require_int(s, "systole", 3) // 2
+    _require_cells(n, half + 1, "the f-vector bounds' table")
     core = comb0(half, n)
     f0 = 2 ** (n - 1) * core
     base = 2 ** n * core

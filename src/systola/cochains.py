@@ -5,9 +5,9 @@ needed to build cyclic covers); cup products and class-nontriviality
 tests work over Z2.
 
 A 1-cochain keeps one value per edge, aligned with the complex's sorted edge
-keys (``SimplicialComplex.edge_keys``): the cocycle test reads it with one
-``searchsorted`` per column pair of the facet rows and the covers' total
-graph as it is, so neither derives triangles as tuples.  Values stay exact:
+keys (``SimplicialComplex.edge_keys``): the cocycle test and the cup read it
+at the column pairs of the face rows (``_edge_reader``) and the covers' total
+graph as it is, so none of them derives triangles as tuples.  Values stay exact:
 they are int64 while every magnitude is below 2**61, so that a sum of three
 cannot wrap, and Python ints in an object array otherwise.
 """
@@ -216,16 +216,19 @@ def is_cocycle(c: Cochain1) -> bool:
 def _coboundary_vanishes(c: Cochain1) -> bool:
     """c(a, b) + c(b, d) - c(a, d) on every column triple i < j < k of the
     facet rows, all rows at once: mod 2 over Z2, exactly over Z.  A triangle
-    shared by several facets is checked once per facet."""
+    shared by several facets is checked once per facet.  Each column pair is
+    read by ``_edge_reader``: one gather from its pair table where it has one."""
     X = c.complex
+    if X.dim < 2:  # no triangle, so no table to build
+        return True
     nv = X.num_vertices
-    keys, vals = X.edge_keys(), c.edge_values()
+    read = _edge_reader(c)
     for R in X.facet_rows():
         width = R.shape[1]
         if width < 3:
             continue
         # every column pair of a facet row is an edge, so every key is found
-        on = {(i, j): vals[np.searchsorted(keys, R[:, i].astype(np.int64) * nv + R[:, j])]
+        on = {(i, j): read(R[:, i].astype(np.int64) * nv + R[:, j])
               for i, j in combinations(range(width), 2)}
         for i, j, k in combinations(range(width), 3):
             delta = on[i, j] + on[j, k] - on[i, k]
@@ -234,6 +237,27 @@ def _coboundary_vanishes(c: Cochain1) -> bool:
             if np.count_nonzero(delta):
                 return False
     return True
+
+
+# Bytes up to which ``_edge_reader`` reads a cochain's edge values from a dense
+# V x V pair table; 2**23 admits the (4,8) quotient's 7.8 MB Z2 table.
+MAX_PAIR_TABLE_BYTES = 2 ** 23
+
+
+def _edge_reader(c: Cochain1):
+    """A function from int64 keys a·V + b of edges (a < b) to c's values on them:
+    a gather from a zeroed V² table indexed by the key, int8 over Z2 and int64
+    over Z, built here and freed with the function, while that fits
+    ``MAX_PAIR_TABLE_BYTES`` and no value is a Python int; else a ``searchsorted``
+    in the edge keys."""
+    X, vals = c.complex, c.edge_values()
+    keys, nv = X.edge_keys(), X.num_vertices
+    dtype = np.dtype(np.int8 if c.ring == RING_Z2 else np.int64)
+    if vals.dtype != object and nv * nv * dtype.itemsize <= MAX_PAIR_TABLE_BYTES:
+        table = np.zeros(nv * nv, dtype=dtype)
+        table[keys] = vals
+        return table.__getitem__
+    return lambda pairs: vals[np.searchsorted(keys, pairs)]
 
 
 def coboundary(c: CochainK) -> CochainK:
@@ -270,12 +294,12 @@ def cup_power(classes, X: SimplicialComplex | None = None) -> CochainK:
             raise CocycleError("cup products are taken of cocycles only")
     if n > X.dim:
         raise DimensionError(f"product of degree {n} exceeds complex dimension {X.dim}")
-    rows = X.face_rows(n)
-    keys, nv = X.edge_keys(), X.num_vertices
+    rows, nv = X.face_rows(n), X.num_vertices
     on = np.arange(len(rows))
     for k, c in enumerate(classes, 1):
-        edges = rows[on, k - 1].astype(np.int64) * nv + rows[on, k]
-        on = on[c.edge_values()[np.searchsorted(keys, edges)] != 0]
+        if k == 1 or c is not classes[k - 2]:  # one reader per run of one class
+            read = _edge_reader(c)
+        on = on[read(rows[on, k - 1].astype(np.int64) * nv + rows[on, k]) != 0]
     return CochainK._from_rows(X, n, on)
 
 

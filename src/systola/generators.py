@@ -23,15 +23,17 @@ systole exactly s.  Its vertex i is the i-th positive-label vertex with
 its antipode, and a negative label marks sheet 1.  ``quotient`` reads any
 sphere, generated or hand-built, as the same arrays: the complex's facet
 rows, and the involution and labels as kept, or through its vertex index.
-It checks the sphere's edges as packed pair keys and reads the sheet-transition
-cocycle, which reconstructs the sphere as the quotient's double cover.
-The quotient's vertices are 0..nq-1, so it is built from its facet rows
-and the edge keys of the lift check, its cocycle from the sheet changes on
-those keys, and the cover build reads no facet tuple.
+It checks the sphere's edges as packed pair keys, whose antipodal images
+must sort to the same keys, and reads the sheet-transition cocycle, which
+reconstructs the sphere as the quotient's double cover.  The quotient's
+vertices are 0..nq-1, so it is built from its facet rows (merged on one sort
+of their keys) and the edge keys of the lift check, its cocycle from the sheet
+changes on those keys, and the cover build reads no facet tuple.
 
 The fixture sizes (``gen_polygon``, ``gen_complete_graph``) must be
 integers, as the sphere parameters must; bools, floats and strings are
-refused with ``ParameterError``.
+refused with ``ParameterError``, and a fixture of more than
+``MAX_FIXTURE_FACETS`` facets with ``CapacityError`` before it is built.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ from .complexes import SimplicialComplex, _image, _is_int, lex_keys, pair_keys, 
 from .errors import CapacityError, ParameterError, QuotientError, require_int
 
 MAX_QUOTIENT_FACETS = 10 ** 6
+# the 65,536-gon's H^1 basis, which ``systola gen polygon`` writes, peaks near 0.6 GB
+MAX_FIXTURE_FACETS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -205,8 +209,10 @@ def quotient(sc: SymmetricComplex):
         raise QuotientError(f"antipodal vertices {names[u[i]]!r}, {names[v[i]]!r} share an edge")
     image = np.minimum(tu, tv).astype(np.int64) * nv + np.maximum(tu, tv)
     del tu, tv
-    i = _first(edges[np.minimum(np.searchsorted(edges, image), len(edges) - 1)] != image)
-    if i < len(u):
+    # tau is free, so the images of distinct edges are distinct: all are edges iff
+    # they sort to the edges, and only otherwise is each one searched
+    if not np.array_equal(np.sort(image), edges):
+        i = _first(edges[np.minimum(np.searchsorted(edges, image), len(edges) - 1)] != image)
         raise QuotientError(
             f"edge ({names[u[i]]!r}, {names[v[i]]!r}) has no edge as its antipodal image")
     del edges, image
@@ -229,10 +235,11 @@ def quotient(sc: SymmetricComplex):
     rows, conflicts = [], 0
     for F in groups:
         R = np.sort(qid[F], axis=1)
-        R = R[np.argsort(lex_keys(R, nq))]
-        starts = np.flatnonzero(run_starts(R))
+        keys = lex_keys(R, nq)
+        order = np.argsort(keys)
+        starts = np.flatnonzero(run_starts(keys[order]))  # equal keys, equal rows
         conflicts += int((np.diff(np.append(starts, len(R))) != 2).sum())
-        rows.append(R[starts])
+        rows.append(R[order[starts]])
     if conflicts:
         raise QuotientError(f"identification conflict on {conflicts} facets")
     # Q's edges are the sphere's edges' images, and its vertices are 0..nq-1
@@ -267,6 +274,7 @@ def gen_complete_graph(k: int) -> SimplicialComplex:
     k = require_int(k, "vertex count")
     if k < 2:
         raise ParameterError("complete graph needs at least 2 vertices")
+    _require_fixture_facets(k * (k - 1) // 2, f"the complete graph on {k} vertices")
     return SimplicialComplex(combinations(range(1, k + 1), 2))
 
 
@@ -275,7 +283,14 @@ def gen_polygon(m: int) -> SimplicialComplex:
     m = require_int(m, "vertex count")
     if m < 3:
         raise ParameterError("polygon needs at least 3 vertices")
+    _require_fixture_facets(m, f"the {m}-gon")
     return SimplicialComplex(tuple(sorted((i, (i + 1) % m))) for i in range(m))
+
+
+def _require_fixture_facets(count: int, what: str) -> None:
+    if count > MAX_FIXTURE_FACETS:
+        raise CapacityError(f"{what} would have {count:,} facets, "
+                            f"above the cap of {MAX_FIXTURE_FACETS:,}")
 
 
 def gen_named(name: str) -> SimplicialComplex:

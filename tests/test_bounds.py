@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import systola as sy
-from systola.bounds import comb0
-from systola.errors import ParameterError
+from systola import bounds
+from systola.bounds import MAX_TABLE_CELLS, comb0
+from systola.errors import CapacityError, ParameterError
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -250,3 +251,36 @@ def test_integral_of_piecewise_is_cumulative():
     for point in (Fraction(1), Fraction(2), Fraction(3)):
         approx = (integral(point + h) - integral(point)) / h
         assert abs(approx - prof(point + h)) < Fraction(1, 50)
+
+
+@pytest.mark.parametrize("call, cells", [
+    (lambda: sy.essential_ball_bounds(10 ** 9, 10 ** 5, 10 ** 5), 10 ** 9 * (10 ** 5 + 1)),
+    (lambda: sy.cup_ball_bounds(10 ** 5, 10 ** 5), (10 ** 5 + 1) ** 2),
+    (lambda: sy.delannoy_table(10 ** 9, 0), 10 ** 9 + 1),
+    (lambda: sy.delannoy_coeff(10 ** 7, 1), (10 ** 7 + 1) * 2),
+    (lambda: sy.cup_vertex_total(10 ** 6, 1), (10 ** 6 + 1) * 2),
+    (lambda: sy.essential_vertex_lower_bound(10 ** 8, 10 ** 9), 10 ** 8 * (5 * 10 ** 8 + 1)),
+    (lambda: sy.essential_vertex_bound_chain(10 ** 8, 10 ** 9), 10 ** 8 * (5 * 10 ** 8 + 1)),
+    (lambda: sy.cup_vertex_lower_bound(10 ** 8, 10 ** 9), 10 ** 8 * (5 * 10 ** 8 + 1)),
+    (lambda: sy.fvector_lower_bounds(10 ** 8, 10 ** 9), 10 ** 8 * (5 * 10 ** 8 + 1)),
+], ids=["essential", "cup", "delannoy", "delannoy_coeff", "cup_total", "essential_vertex",
+        "essential_chain", "cup_vertex", "fvector"])
+def test_oversized_bound_tables_are_refused_before_any_work(monkeypatch, call, cells):
+    monkeypatch.setattr(bounds, "comb0", None)  # no closed form may be evaluated
+    for name in ("range", "tuple"):  # nor any table row built
+        monkeypatch.setattr(bounds, name, None, raising=False)
+    with pytest.raises(CapacityError, match=f"would have {cells:,} cells, above the cap of "
+                                            f"{MAX_TABLE_CELLS:,}$"):
+        call()
+
+
+def test_table_caps_admit_their_limit(monkeypatch):
+    monkeypatch.setattr(bounds, "MAX_TABLE_CELLS", 12)
+    assert sy.cup_ball_bounds(2, 3).value(2, 3) == sy.delannoy_table(2, 3).value(2, 3)
+    assert sy.essential_ball_bounds(3, 3, 2).value(3, 3) == 29
+    assert sy.cup_vertex_lower_bound(3, 6) == 8  # a 3 x 4 table
+    assert sy.essential_vertex_lower_bound(4, 4) == sy.essential_ball_bounds(4, 2, 1).value(4, 2) + 1
+    for call in (lambda: sy.cup_ball_bounds(2, 4), lambda: sy.essential_ball_bounds(4, 3, 2),
+                 lambda: sy.cup_vertex_lower_bound(3, 8), lambda: sy.fvector_lower_bounds(2, 12)):
+        with pytest.raises(CapacityError):
+            call()

@@ -118,6 +118,23 @@ TRANSCRIPT = [
      "vertices and edges, above the cap of 1,000,000\n"),
     ("gen rp --dim 1000000 --systole 3 -o huge.cx", 1, "",
      "error: the (1000000, 3) quotient would have more than 1,000,000 facets, the cap\n"),
+    ("gen polygon --m 30000000 -o huge.cx", 1, "",
+     "error: the 30000000-gon would have 30,000,000 facets, above the cap of 65,536\n"),
+    ("gen complete --k 30000 -o huge.cx", 1, "", "error: the complete graph on 30000 vertices "
+     "would have 449,985,000 facets, above the cap of 65,536\n"),
+    ("bounds b --n 100000 --i 100 --r 100", 1, "",
+     "error: the essential table would have 10,100,000 cells, above the cap of 1,000,000\n"),
+    ("bounds breve --n 100000 --i 100000", 1, "",
+     "error: the cup table would have 10,000,200,001 cells, above the cap of 1,000,000\n"),
+    ("bounds thm12 --n 100000000 --sys 1000000000", 1, "",
+     "error: the essential vertex bound's table would have 50,000,000,100,000,000 cells, "
+     "above the cap of 1,000,000\n"),
+    ("bounds thm16 --n 100000000 --sys 1000000000", 1, "",
+     "error: the cup vertex bound's table would have 50,000,000,100,000,000 cells, "
+     "above the cap of 1,000,000\n"),
+    ("bounds fvec --n 100000000 --s 1000000000", 1, "",
+     "error: the f-vector bounds' table would have 50,000,000,100,000,000 cells, "
+     "above the cap of 1,000,000\n"),
 ]
 
 

@@ -67,6 +67,74 @@ def test_is_cocycle_agrees_with_the_triangle_loop(seed):
     assert sy.is_cocycle(c) == brute_is_cocycle(c)
 
 
+def _reads_a_table(c) -> bool:
+    """Whether ``_edge_reader`` gathers from a pair table for c (else it searches)."""
+    return isinstance(getattr(sy.cochains._edge_reader(c), "__self__", None), np.ndarray)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 31))
+def test_both_edge_readers_agree_with_the_oracles(seed):
+    """is_cocycle and cup_power with the pair table off (cap 0) and at its real
+    cap, against the triangle loop and the face loop: over Z2 and Z, with values
+    of 2**61 or more, isolated vertices and complexes with no edges."""
+    rng = random.Random(seed)
+    count = rng.randint(1, 8)
+    facets = [rng.sample(range(count), rng.randint(1, min(5, count)))
+              for _ in range(rng.randint(1, 8))]
+    facets += [[count + i] for i in range(rng.randint(0, 2))]  # isolated vertices
+    if rng.random() < 0.15:
+        facets = [[v] for v in range(count)]  # no edges
+    X = sy.build_complex(facets)
+    ring = rng.choice([sy.RING_Z2, sy.RING_Z])
+    scale = rng.choice([1, 1, 2 ** 61, 2 ** 70])
+    values = dict(vertex_coboundary(X, {v: rng.randint(-3, 3) * scale for v in X.vertices},
+                                    ring).values)
+    edges = sorted(X.faces(1))
+    for _ in range(rng.choice([0, 1, 2]) if edges else 0):
+        e = rng.choice(edges)
+        values[e] = values.get(e, 0) + rng.choice([-1, 1, 2]) * (scale if ring == sy.RING_Z else 1)
+    c = sy.Cochain1(X, values, ring)
+    pool = sy.h1_basis(X) + [vertex_coboundary(X, {v: rng.randrange(2) for v in X.vertices})]
+    classes = [rng.choice(pool) for _ in range(rng.randint(1, X.dim))] if X.dim else []
+    big = c.edge_values().dtype == object
+    for cap in (0, sy.cochains.MAX_PAIR_TABLE_BYTES):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sy.cochains, "MAX_PAIR_TABLE_BYTES", cap)
+            fresh = sy.Cochain1._from_edge_values(X, c.edge_values(), ring)  # no kept verdict
+            assert _reads_a_table(fresh) == (cap > 0 and not big)
+            assert sy.is_cocycle(fresh) == brute_is_cocycle(c)
+            if classes:
+                assert sy.cup_power(classes, X).support == brute_cup_power(classes)
+
+
+@pytest.mark.parametrize("cap", [0, sy.cochains.MAX_PAIR_TABLE_BYTES], ids=["search", "table"])
+def test_both_edge_readers_refuse_a_flipped_grid_edge(monkeypatch, cap):
+    monkeypatch.setattr(sy.cochains, "MAX_PAIR_TABLE_BYTES", cap)
+    Q, xi = sy.quotient(sy.gen_symmetric_sphere(4, 6))
+    assert _reads_a_table(xi) == (cap > 0)
+    assert sy.is_cocycle(xi)
+    assert sy.class_is_nonzero(sy.cup_power([xi] * 4, Q))
+    for e in (0, len(Q.edge_keys()) // 2, len(Q.edge_keys()) - 1):
+        vector = xi.edge_values().copy()
+        vector[e] ^= 1
+        bad = sy.Cochain1._from_edge_values(Q, vector, sy.RING_Z2)
+        assert not sy.is_cocycle(bad)
+        with pytest.raises(CocycleError):
+            sy.cup_power([bad] * 4, Q)
+
+
+def test_the_pair_table_cap_admits_the_largest_grid_quotient_only():
+    # the (4,8) quotient's Z2 table is 7.8 MB; its Z table, the 50,000-vertex strip
+    # below and object values (the exact-integer cases) take the search
+    Q, xi = sy.quotient(sy.gen_symmetric_sphere(4, 8))
+    assert Q.num_vertices ** 2 <= sy.cochains.MAX_PAIR_TABLE_BYTES and _reads_a_table(xi)
+    assert not _reads_a_table(sy.Cochain1._from_edge_values(Q, xi.edge_values(), sy.RING_Z))
+    assert 50_000 ** 2 > sy.cochains.MAX_PAIR_TABLE_BYTES
+    assert not _reads_a_table(sy.Cochain1(sy.build_complex([(1, 2, 3)]), {(1, 2): 2 ** 70},
+                                          sy.RING_Z))
+
+
 @pytest.mark.parametrize("values, oracle", [
     ({(1, 2): 2 ** 62, (2, 3): 2 ** 62, (1, 3): -2 ** 63}, False),  # wraps to 0 in int64
     ({(1, 2): 2 ** 70}, False),  # beyond int64

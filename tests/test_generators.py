@@ -9,7 +9,8 @@ import systola as sy
 from systola.complexes import SimplicialComplex
 from systola import generators
 from systola.errors import CapacityError, ParameterError, QuotientError
-from systola.generators import MAX_QUOTIENT_FACETS, SymmetricComplex, quotient_facet_count
+from systola.generators import MAX_FIXTURE_FACETS, MAX_QUOTIENT_FACETS, SymmetricComplex, \
+    quotient_facet_count
 
 
 def _check_symmetry(sc: SymmetricComplex):
@@ -90,6 +91,29 @@ def test_oversized_sphere_is_refused_before_building(monkeypatch):
         sy.gen_symmetric_sphere(9, 3)
     with pytest.raises(CapacityError):
         sy.gen_symmetric_sphere(4, 40)
+
+
+def test_oversized_fixtures_are_refused_before_building(monkeypatch):
+    assert 40_000 <= MAX_FIXTURE_FACETS  # the CI forest guard's polygon
+    monkeypatch.setattr(generators, "SimplicialComplex", None)  # nothing may be built
+    with pytest.raises(CapacityError, match=r"^the 30000000-gon would have 30,000,000 facets, "
+                                            r"above the cap of 65,536$"):
+        sy.gen_polygon(30_000_000)
+    with pytest.raises(CapacityError, match="449,985,000 facets"):
+        sy.gen_complete_graph(30_000)
+    for name in (f"polygon-{MAX_FIXTURE_FACETS + 1}", "complete-363"):  # 363·362/2 = 65,703
+        with pytest.raises(CapacityError, match="facets, above the cap"):
+            sy.gen_named(name)
+
+
+def test_fixture_caps_admit_their_limit(monkeypatch):
+    monkeypatch.setattr(generators, "MAX_FIXTURE_FACETS", 10)
+    assert len(sy.gen_polygon(10).facets) == 10
+    assert len(sy.gen_complete_graph(5).facets) == 10
+    with pytest.raises(CapacityError):
+        sy.gen_polygon(11)
+    with pytest.raises(CapacityError):
+        sy.gen_complete_graph(6)
 
 
 def test_a_huge_sphere_is_refused_before_its_count_is_multiplied_out():
@@ -331,6 +355,18 @@ def test_quotient_rejects_an_edge_whose_image_is_no_edge():
                                sphere.involution, sphere.labels)
     with pytest.raises(QuotientError, match="no edge as its antipodal image"):
         sy.quotient(chorded)
+
+
+def test_quotient_names_the_first_edge_whose_image_is_no_edge():
+    # the octagon a..h (v and v + 4 antipodal) with the chords d-f and f-h, whose
+    # images h-b and b-d are no edges; d-f is the sixth edge in sorted order
+    names = "abcdefgh"
+    rim = [(names[i], names[(i + 1) % 8]) for i in range(8)]
+    sphere = _antipodal(rim + [("d", "f"), ("f", "h")], [(names[i], names[i + 4]) for i in range(4)])
+    assert sorted(sphere.complex.faces(1)).index(("d", "f")) == 5
+    with pytest.raises(QuotientError) as caught:
+        sy.quotient(sphere)
+    assert str(caught.value) == "edge ('d', 'f') has no edge as its antipodal image"
 
 
 def test_quotient_rejects_an_ambiguous_lift_in_dimension_2():
