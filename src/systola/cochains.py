@@ -439,8 +439,11 @@ MAX_MASK_VERTICES = 2 ** 13
 def restriction_is_zero(c: Cochain1, S) -> bool:
     """True iff c restricted to the induced subcomplex S is a coboundary:
     the test that also decides whether a cover is trivial over S."""
-    W = S.vertex_subset if isinstance(S, InducedSubcomplex) else S
-    return _restricted_components(c, 2 if c.ring == RING_Z2 else None, W) is not None
+    if isinstance(S, InducedSubcomplex):
+        if S.parent is not c.complex:
+            raise ParameterError("the subcomplex is induced from a different complex")
+        S = S.vertex_subset
+    return _restricted_components(c, 2 if c.ring == RING_Z2 else None, S) is not None
 
 
 def _restricted_components(c: Cochain1, modulus, W):
@@ -473,16 +476,23 @@ def _restriction_table(c: Cochain1, modulus):
     return c._tables[modulus]
 
 
-def _neighbour_masks(X: SimplicialComplex, shifts, fiber: int) -> list:
-    """Per vertex (v, s) of the cover with sheet changes ``shifts`` on
-    ``X.edge_keys()``, at index v + s·V, its neighbours (w, t) as bits w + t·V,
-    ORed into one byte table of V·fiber rows (the oracle has the loop)."""
+def _cover_edges(X: SimplicialComplex, shifts, fiber: int) -> tuple:
+    """``(ends, others)``: both directions of every edge of the cover with sheet
+    changes ``shifts`` on ``X.edge_keys()``, vertex (v, s) at index v + s·V; the
+    one lift of the base edges, for the neighbour masks and the total graph."""
     nv = X.num_vertices
     u, v = np.divmod(X.edge_keys(), nv)
     sheets = np.arange(fiber)
     x = (u[:, None] + sheets * nv).ravel()
     y = (v[:, None] + (sheets + shifts.astype(np.int64)[:, None]) % fiber * nv).ravel()
-    ends, others = np.concatenate([x, y]), np.concatenate([y, x])
+    return np.concatenate([x, y]), np.concatenate([y, x])
+
+
+def _neighbour_masks(X: SimplicialComplex, shifts, fiber: int) -> list:
+    """The neighbours (w, t) of each vertex (v, s) of the lift ``_cover_edges``,
+    as bits w + t·V ORed into row v + s·V of one byte table (the oracle has the loop)."""
+    nv = X.num_vertices
+    ends, others = _cover_edges(X, shifts, fiber)
     table = np.zeros((nv * fiber, nv * fiber // 8 + 1), dtype=np.uint8)
     np.bitwise_or.at(table, (ends, others >> 3), (1 << (others & 7)).astype(np.uint8))
     return [int.from_bytes(row, "little") for row in table]

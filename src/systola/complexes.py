@@ -16,9 +16,9 @@ facet rows), of which ``faces(k)`` is the label-tuple view.  Every view
 is built on first read and kept in the one ``derived`` cache.  A complex
 can be built from its facet rows and vertex labels (``_from_index_rows``);
 its facet tuples are then built only when they are read.
-A caller's label is a vertex only by ``_image`` (the vertex's type, or both integers) in
-``_as_mask``, ``has_vertex``, ``has_face``, the cochains, ``vertex_coboundary`` and the quotient,
-or, for Python ints on a complex of Python-int labels, by one ``searchsorted`` (``_int_image``).
+A caller's label is a vertex only by ``_image`` (the vertex's type, or both integers): singly
+in ``has_vertex``, the cochains and ``vertex_coboundary``, and a list at once by ``_indices``
+in ``_as_mask``, ``has_face``, ``induced``, the cochain loader and the quotient.
 """
 
 from __future__ import annotations
@@ -110,10 +110,10 @@ class SimplicialComplex:
         whose labels cannot be ordered or hashed, is a ``MalformedFaceError``."""
         try:
             face = canonical_face(face)
-            row = [_image(self.vertex_index(), self.vertices, v) for v in face]
+            row = _indices(self, face)
         except TypeError as exc:
             raise MalformedFaceError(f"malformed face {face!r}: {exc}") from None
-        return bool(min(row) >= 0 and _face_ids(self, len(row) - 1, [row])[0] >= 0)
+        return bool(row.min() >= 0 and _face_ids(self, len(row) - 1, [row])[0] >= 0)
 
     def adjacency(self) -> dict:
         """Vertex -> sorted tuple of neighbours in the 1-skeleton (cached)."""
@@ -177,10 +177,12 @@ class SimplicialComplex:
 def _bfs(X: SimplicialComplex, x, cutoff=None) -> dict:
     """Vertex -> edge distance from x, for the vertices within ``cutoff``.
 
-    The one check of a BFS root: an x that is not a vertex of X is refused.
+    The one check of a BFS root: an x that is not a vertex of X is refused,
+    and a vertex is searched from as X's own label, so only labels are returned.
     """
     if not X.has_vertex(x):
         raise UnknownVertexError(f"{x!r} is not a vertex of the complex")
+    x = X.vertices[X.vertex_index()[x]]
     adj = X.adjacency()
     dist = {x: 0}
     queue = deque([x])
@@ -219,45 +221,36 @@ def _int_labels(X: SimplicialComplex):
     return None
 
 
-def _int_image(X: SimplicialComplex, labels: np.ndarray):
-    """The vertex indices of an int64 array of labels by one ``searchsorted``, or
-    None if one is no vertex or X's labels are not Python ints (``_int_labels``)."""
+def _indices(X: SimplicialComplex, labels) -> np.ndarray:
+    """The int64 vertex indices of a list (or 1-D int64 array) of labels, -1 where
+    ``_image`` finds none: one ``searchsorted`` for Python ints on a complex of Python-int
+    labels (``_int_labels``), else label by label; an unhashable label raises ``TypeError``."""
     names = X.derived("int labels", _int_labels)
-    if names is not None and len(names):
-        i = names.searchsorted(labels)
-        if (names.take(i, mode="clip") == labels).all():
-            return i
-    return None
+    if names is not None and len(names) and (
+            type(labels) is np.ndarray or set(map(type, labels)) <= {int}):
+        with suppress(OverflowError):
+            given = np.asarray(labels, dtype=np.int64)
+            i = names.searchsorted(given)
+            return np.where(names.take(i, mode="clip") == given, i, -1)
+    index, names = X.vertex_index(), X.vertices
+    return np.fromiter((_image(index, names, v) for v in labels), np.int64, len(labels))
 
 
 def _as_mask(X: SimplicialComplex, W) -> _VertexMask:
     """W's vertex bitmask, a ``_VertexMask`` as it is: the one place a vertex
-    subset becomes indices or is refused (``UnknownVertexError``): Python ints
-    by ``_int_image``, any other set, or one with no vertex, by ``_image``."""
+    subset becomes indices (``_indices``) or is refused (``UnknownVertexError``)."""
     if type(W) is _VertexMask:
         return W
     try:
         items = list(W)
+        i = _indices(X, items)
     except TypeError:
         raise UnknownVertexError(f"{W!r} is not a collection of vertex labels") from None
-    if set(map(type, items)) <= {int}:
-        with suppress(OverflowError):
-            i = _int_image(X, np.fromiter(items, dtype=np.int64, count=len(items)))
-            if i is not None:
-                hit = np.frombuffer(bytearray(X.num_vertices), dtype=bool)
-                hit[i] = True
-                return _VertexMask(int.from_bytes(np.packbits(hit, bitorder="little"), "little"))
-    index, names = X.vertex_index(), X.vertices
-    bits = bytearray(len(names) // 8 + 1)
-    try:
-        for v in items:
-            i = _image(index, names, v)
-            if i < 0:
-                raise UnknownVertexError(f"{v!r} is not a vertex of the complex")
-            bits[i >> 3] |= 1 << (i & 7)
-    except TypeError:
-        raise UnknownVertexError(f"{W!r} is not a collection of vertex labels") from None
-    return _VertexMask(int.from_bytes(bits, "little"))
+    if (i < 0).any():
+        raise UnknownVertexError(f"{items[int((i < 0).argmax())]!r} is not a vertex of the complex")
+    hit = np.frombuffer(bytearray(X.num_vertices), dtype=bool)
+    hit[i] = True
+    return _VertexMask(int.from_bytes(np.packbits(hit, bitorder="little"), "little"))
 
 
 def _face_ids(X: SimplicialComplex, k: int, rows) -> np.ndarray:
@@ -451,7 +444,7 @@ def induced(X: SimplicialComplex, W) -> InducedSubcomplex:
         W = frozenset(W)
     except TypeError:
         raise UnknownVertexError(f"{W!r} is not a collection of vertex labels") from None
-    unknown = [v for v in W if not X.has_vertex(v)]
+    unknown = [v for v, i in zip(W, _indices(X, list(W))) if i < 0]
     if unknown:
         try:
             unknown.sort()

@@ -6,7 +6,8 @@ lift consistently, so the total space is again a simplicial complex with
 vertices ``(v, sheet)``, built on first read.  ``build_cover`` checks that
 condition on the base's facet rows, and the total graph takes its edges
 from the base's edge keys and their sheet changes from the cocycle's
-``edge_values``, so neither reads the cocycle edge by edge.
+``edge_values``, so neither reads the cocycle edge by edge; it numbers
+(v, sheet) as v + sheet·V, as the block test's masks do (``_cover_edges``).
 
 BFS utilities (:func:`edge_distance`, :func:`ball`, :func:`sphere`) are
 plain Python.  A closed base walk at x with holonomy g lifts to a path of
@@ -57,7 +58,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .cochains import RING_Z, RING_Z2, Cochain1, _restricted_components, is_cocycle
+from .cochains import RING_Z, RING_Z2, Cochain1, _cover_edges, _restricted_components, is_cocycle
 from .complexes import SimplicialComplex, _bfs
 from .errors import CapacityError, CocycleError, ParameterError, UnknownVertexError, \
     require_int
@@ -131,33 +132,27 @@ class Cover:
     def _total_graph(self):
         """The total space's 1-skeleton as a cached symmetric ``_Graph``.
 
-        Built from the base's edge keys a·V + b and the cocycle's values on
-        them mod F.  ``(v, sheet)`` is row ``v·F + sheet``, with v the base
-        vertex index; each edge is stored in both directions, so a row lists
-        all of its vertex's neighbours.  Refused with ``CapacityError``
-        before any array is built when it would be larger than
-        ``MAX_TOTAL_GRAPH``.
+        Built from the lift ``cochains._cover_edges`` of the base's edge keys
+        by the cocycle's values mod F: ``(v, sheet)`` is row ``v + sheet·V``,
+        v the base vertex index, so each sheet is a block of V rows.  Each edge
+        is stored in both directions, so a row lists all of its vertex's
+        neighbours.  Refused with ``CapacityError`` before any array is built
+        when it would be larger than ``MAX_TOTAL_GRAPH``.
         """
         if self._graph is None:
             F = self.fiber
             nv = self.base.num_vertices
-            keys = self.base.edge_keys()
-            size = (max(nv, 1) + len(keys)) * F  # one vertex at least, so F is capped too
+            size = (max(nv, 1) + len(self.base.edge_keys())) * F  # one vertex at least: F capped
             if size > MAX_TOTAL_GRAPH:
                 raise CapacityError(
                     f"the total graph of a {F}-fold cover would have {size:,} vertices "
                     f"and edges, above the cap of {MAX_TOTAL_GRAPH:,}")
-            u, v = np.divmod(keys, nv)
-            shift = (self.cocycle.edge_values() % F).astype(np.int64)
-            sheets = np.arange(F)
-            rows = (u[:, None] * F + sheets).ravel()
-            cols = (v[:, None] * F + (sheets + shift[:, None]) % F).ravel()
+            ends, others = _cover_edges(self.base, self.cocycle.edge_values() % F, F)
             n = nv * F
-            ends = np.concatenate([rows, cols])
             indptr = np.zeros(n + 1, dtype=np.intp)
             np.cumsum(np.bincount(ends, minlength=n), out=indptr[1:])
-            others = np.concatenate([cols, rows])[np.argsort(ends, kind="stable")]
-            self._graph = _Graph(indptr, others.astype(np.intp), (n, n))
+            self._graph = _Graph(indptr, others[np.argsort(ends, kind="stable")].astype(np.intp),
+                                 (n, n))
         return self._graph
 
 
@@ -213,7 +208,8 @@ def ball_profile(X: SimplicialComplex, x, r_max: int | None = None) -> BallProfi
     for d in dist.values():
         if d <= top:
             sphere_sizes[d] += 1
-    return BallProfile(x, tuple(range(top + 1)), tuple(accumulate(sphere_sizes)),
+    # the centre is the root ``_bfs`` searched from, the vertex's own label
+    return BallProfile(next(iter(dist)), tuple(range(top + 1)), tuple(accumulate(sphere_sizes)),
                        tuple(sphere_sizes))
 
 
@@ -236,8 +232,8 @@ def _holonomy_scan(C: Cover):
     for lo in range(0, nv, 64):
         front = np.zeros(nv * F, dtype=np.uint64)
         bits = np.arange(min(64, nv - lo), dtype=np.uint64)
-        front[lo * F:(lo + 64) * F:F] = np.uint64(1) << bits
-        seen, met = front.copy(), front[::F].copy()  # met: the bits seen at a vertex, any sheet
+        front[lo:lo + len(bits)] = np.uint64(1) << bits
+        seen, met = front.copy(), front[:nv].copy()  # met: the bits seen at a vertex, any sheet
         level = 1
         while 2 * level - 1 < systole and front.any():
             reached = np.zeros_like(front)
@@ -245,11 +241,11 @@ def _holonomy_scan(C: Cover):
             reached &= ~seen
             seen |= reached
             # the bits new at each base vertex on some sheet (once) and on two (twice)
-            new = reached.reshape(nv, F)
-            once, twice = new[:, 0].copy(), np.zeros(nv, dtype=np.uint64)
+            new = reached.reshape(F, nv)
+            once, twice = new[0].copy(), np.zeros(nv, dtype=np.uint64)
             for a in range(1, F):
-                twice |= once & new[:, a]
-                once |= new[:, a]
+                twice |= once & new[a]
+                once |= new[a]
             odd, even = (int(np.bitwise_or.reduce(w)) for w in (once & met, twice))
             if odd or even:  # loops of length 2·level - 1 and 2·level
                 length, hit = (2 * level - 1, odd) if odd else (2 * level, even)
@@ -310,14 +306,14 @@ def _check_witness(C: Cover, centre, L):
     (the graph is deck-invariant, so sheet 0 is compared with the others),
     and, for a loop, one BFS (``dijkstra``) from (centre, 0) limited to L
     finds the least distance to (centre, g != 0) equal to L."""
-    F = C.fiber
+    nv = C.base.num_vertices
     graph = C._total_graph()
-    labels = connected_components(graph)[1].reshape(-1, F)
-    if bool((labels[:, 1:] == labels[:, :1]).any()) != (centre is not None):
+    labels = connected_components(graph)[1].reshape(C.fiber, -1)
+    if bool((labels[1:] == labels[:1]).any()) != (centre is not None):
         raise ParameterError("internal error: unsound cover verdict")
     if centre is not None:
-        dist = dijkstra(graph, indices=[centre * F], limit=L)[0]
-        if dist[centre * F + 1:(centre + 1) * F].min() != L:
+        dist = dijkstra(graph, indices=[centre], limit=L)[0]
+        if dist[centre + nv::nv].min() != L:
             raise ParameterError("internal error: unsound systole witness")
 
 

@@ -16,13 +16,14 @@ array slices and takes the involution and labels in closed form: copy v
 in layer l maps to copy tau[v] in the mirror layer s - l, the poles swap,
 and v is positive iff v < tau[v], numbered in vertex order.  The sphere's
 complex is built from the facet rows, and its involution and labels are
-dicts of plain ``int``s made from the two arrays, which it keeps.
+read-only views of dicts of plain ``int``s made from the two arrays, which
+it keeps.
 
 The antipodal quotient is a projective-space triangulation with edge
 systole exactly s.  Its vertex i is the i-th positive-label vertex with
 its antipode, and a negative label marks sheet 1.  ``quotient`` reads any
 sphere, generated or hand-built, as the same arrays: the complex's facet
-rows, and the involution and labels as kept, or through its vertex index.
+rows, and the involution and labels as kept, or mapped by ``_indices``.
 It checks the sphere's edges as packed pair keys, whose antipodal images
 must sort to the same keys, and reads the sheet-transition cocycle, which
 reconstructs the sphere as the quotient's double cover.  The quotient's
@@ -39,13 +40,15 @@ refused with ``ParameterError``, and a fixture of more than
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import combinations
+from types import MappingProxyType
 
 import numpy as np
 
 from .cochains import RING_Z2, Cochain1
-from .complexes import SimplicialComplex, _image, _is_int, lex_keys, pair_keys, run_starts
+from .complexes import SimplicialComplex, _indices, _is_int, lex_keys, pair_keys, run_starts
 from .errors import CapacityError, ParameterError, QuotientError, require_int
 
 MAX_QUOTIENT_FACETS = 10 ** 6
@@ -58,14 +61,15 @@ class SymmetricComplex:
     """A complex with a free simplicial involution and signed labels.
 
     Antipodal vertices carry labels of equal absolute value and opposite
-    sign, so ordering by label is reversed by the involution.  A generated
-    sphere keeps the arrays its dicts were made from, and ``quotient`` reads
-    those: change a copy (``replace``), whose dicts are read, not its dicts.
+    sign, so ordering by label is reversed by the involution.  The involution
+    and labels may be any mappings.  A generated sphere hands them out as
+    read-only views of the arrays it keeps and ``quotient`` reads, so they
+    cannot drift apart; edit a copy of them, passed to a new ``SymmetricComplex``.
     """
 
     complex: SimplicialComplex
-    involution: dict
-    labels: dict
+    involution: Mapping
+    labels: Mapping
     _arrays: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
@@ -133,7 +137,8 @@ def gen_symmetric_sphere(n: int, s: int) -> SymmetricComplex:
     for _ in range(n - 1):
         facets, tau, lab = _add_layers(facets, tau, lab, s)
     sc = SymmetricComplex(SimplicialComplex._from_index_rows([facets], range(len(tau))),
-                          dict(enumerate(tau.tolist())), dict(enumerate(lab.tolist())))
+                          MappingProxyType(dict(enumerate(tau.tolist()))),
+                          MappingProxyType(dict(enumerate(lab.tolist()))))
     object.__setattr__(sc, "_arrays", (tau, lab))
     return sc
 
@@ -151,11 +156,11 @@ def _sphere_arrays(sc: SymmetricComplex):
     if not isinstance(X, SimplicialComplex):
         raise ParameterError(f"the complex must be a SimplicialComplex, got {type(X).__name__}")
     for name, view in (("involution", involution), ("labels", labels)):
-        if not isinstance(view, dict):
+        if not isinstance(view, Mapping):
             raise ParameterError(f"the {name} must be a dict, got {type(view).__name__}")
-    index, names = X.vertex_index(), X.vertices
+    names = X.vertices
     try:
-        tau = np.array([_image(index, names, involution.get(v)) for v in names], dtype=np.int32)
+        tau = _indices(X, [involution.get(v) for v in names]).astype(np.int32)
     except TypeError:  # an unhashable image, so no vertex
         tau = np.full(X.num_vertices, -1, dtype=np.int32)
     lab = [labels.get(v, 0) for v in names]

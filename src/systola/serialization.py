@@ -10,7 +10,7 @@ and malformed documents raise :class:`~systola.errors.ParameterError`.
 
 The loaders take an array path: facets of one width become sorted, distinct
 int64 rows relabelled by ``np.unique`` (``_from_index_rows``), and cochain
-edges that are exactly the complex's edges, mapped by one ``searchsorted``,
+edges that are exactly the complex's edges, mapped by ``_indices``,
 order the values into the edge vector.  Facets of several widths (nested
 faces to absorb) and any document that fails a check take the label path,
 ``build_complex`` or ``Cochain1``: an equal result, or the label path's own error.
@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .cochains import RING_Z, RING_Z2, Cochain1
-from .complexes import SimplicialComplex, _as_tuples, _distinct_rows, _int_image, build_complex
+from .complexes import SimplicialComplex, _as_tuples, _distinct_rows, _indices, build_complex
 from .errors import ParameterError
 
 
@@ -140,8 +140,8 @@ def loads_cochain(text: str, X: SimplicialComplex, ring: str = RING_Z2) -> Cocha
         raise ParameterError("cochain 'edges' must be vertex pairs")
     keys, A = X.edge_keys(), _int_rows(edges)
     if A is not None and len(A) == len(keys) and ring in (RING_Z2, RING_Z):
-        ends = _int_image(X, A)
-        if ends is not None:
+        ends = _indices(X, A.ravel()).reshape(A.shape)
+        if (ends >= 0).all():
             given = ends[:, 0] * X.num_vertices + ends[:, 1]
             order = np.argsort(given)
             if np.array_equal(given[order], keys):  # the pairs are exactly the edges

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import systola as sy
-from systola.complexes import lex_keys, pair_keys, run_starts
+from systola.complexes import _image, _indices, lex_keys, pair_keys, run_starts
 from systola.errors import DimensionError, MalformedFaceError, UnknownVertexError
 
 
@@ -229,3 +229,31 @@ def test_dim_reads_the_facet_rows_without_building_facet_tuples(monkeypatch):
     Y = sy.loads_complex('{"facets": [[4, 9], [9, 2]]}')  # one width: rows
     assert X.dim == Y.dim == 1 and sy.build_complex([[5]]).dim == 0
     assert sy.build_complex([]).dim == -1
+
+
+# labels of every kind a caller may pass: Python and numpy ints, bools, floats,
+# ints past int64, None and tuples
+_LABELS = st.one_of(
+    st.integers(-3, 12), st.integers(-3, 12).map(np.int64), st.integers(-3, 12).map(np.int32),
+    st.booleans(), st.sampled_from([0.0, 1.0, 2.5, -1.0]),
+    st.sampled_from([2 ** 63 - 1, 2 ** 63, -2 ** 63 - 1, 2 ** 70]), st.none(),
+    st.tuples(st.integers(0, 4), st.integers(0, 2)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data(), st.sampled_from(["ints", "big ints", "tuples"]))
+def test_bulk_indices_equal_the_label_rule(data, kind):
+    # one searchsorted for Python ints (and int64 arrays) on a complex of
+    # Python-int labels, _image label by label otherwise: the same indices
+    pool = {"ints": st.integers(-3, 12), "big ints": st.integers(-3, 12) | st.just(2 ** 63),
+            "tuples": st.tuples(st.integers(0, 4), st.integers(0, 2))}[kind]
+    names = data.draw(st.lists(pool, unique=True, max_size=8))
+    X = sy.build_complex([[v] for v in names])
+    labels = data.draw(st.lists(_LABELS, max_size=10))
+    expected = [_image(X.vertex_index(), X.vertices, v) for v in labels]
+    got = _indices(X, labels)
+    assert got.dtype == np.int64 and got.tolist() == expected
+    ints = [v for v in labels if type(v) is int and -2 ** 63 <= v < 2 ** 63]
+    assert _indices(X, np.array(ints, dtype=np.int64)).tolist() == _indices(X, ints).tolist()
+    with pytest.raises(TypeError):
+        _indices(X, labels + [[0]])  # an unhashable label

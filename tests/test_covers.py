@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import systola as sy
 from systola.cochains import vertex_coboundary
 from systola.complexes import _as_mask, _bfs, _VertexMask
-from systola.covers import _check_witness, _holonomy_scan, connected_components, dijkstra
+from systola.covers import Cover, _check_witness, _holonomy_scan, connected_components, dijkstra
 from systola.errors import CapacityError, CocycleError, ParameterError, UnknownVertexError
 
 from oracles import bfs_distances, brute_cover_trivial_over, brute_homotopy_radius, \
@@ -387,10 +387,10 @@ def test_graph_searches_agree_with_plain_python_oracles(cov, data):
     # the total graph's CSR arrays, its components and its limited BFS
     # against a dict adjacency built edge by edge, at limits below, at and
     # above the source's eccentricity
-    graph, F = cov._total_graph(), cov.fiber
+    graph, V = cov._total_graph(), cov.base.num_vertices
     adj = total_adjacency(cov)
     index = cov.base.vertex_index()
-    row = {p: index[p[0]] * F + p[1] for p in adj}
+    row = {p: index[p[0]] + p[1] * V for p in adj}
     order = sorted(adj, key=row.get)
     assert graph.shape == (len(adj), len(adj))
     ends = zip(graph.indptr[:-1], graph.indptr[1:])
@@ -768,7 +768,13 @@ def test_bulk_masks_equal_the_loops(seed, fiber):
     rng = random.Random(seed)
     X, labels = _labelled_graph(rng)
     shifts = np.array([rng.randrange(fiber) for _ in X.edge_keys()], dtype=np.int64)
-    assert sy.cochains._neighbour_masks(X, shifts, fiber) == loop_neighbour_masks(X, shifts, fiber)
+    masks = sy.cochains._neighbour_masks(X, shifts, fiber)
+    assert masks == loop_neighbour_masks(X, shifts, fiber)
+    # the total graph numbers (v, s) as the masks do, v + s·V: row i lists mask i's bits
+    graph = Cover(X, sy.cochains.Cochain1._from_edge_values(X, shifts, sy.RING_Z),
+                  fiber)._total_graph()
+    rows = zip(graph.indptr[:-1], graph.indptr[1:])
+    assert [sum(1 << w for w in set(graph.indices[a:b].tolist())) for a, b in rows] == masks
     W = rng.sample(labels, rng.randrange(len(labels) + 1))
     W += W[:rng.randrange(3)]  # repeats
     expected = sum(1 << X.vertices.index(v) for v in set(W))
@@ -786,6 +792,15 @@ def test_vertex_masks_refuse_what_the_label_rule_refuses(bad):
     with pytest.raises(UnknownVertexError, match="^0 is not a vertex"):
         _as_mask(empty, [0])
     assert _as_mask(empty, []) == 0
+
+
+def test_balls_hold_the_complex_own_labels():
+    # a root given as a numpy int is searched from as the label it names
+    X, root = sy.gen_polygon(6), np.int64(0)
+    assert sy.ball(X, root, 1) == {0, 1, 5} and sy.sphere(X, root, 1) == {1, 5}
+    for found in (sy.ball(X, root, 1), sy.sphere(X, root, 0), X.components()[0]):
+        assert {type(v) for v in found} == {int}
+    assert type(sy.ball_profile(X, root).center) is int
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

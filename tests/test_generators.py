@@ -253,6 +253,19 @@ def test_generated_sphere_views_hold_plain_ints():
     assert all(type(v) is int for f in sphere.complex.facets for v in f)
 
 
+def test_a_generated_sphere_hands_out_read_only_views():
+    # the quotient reads the arrays the views were made from, so an edit in
+    # place is refused, and an edited copy is read as given
+    sphere = sy.gen_symmetric_sphere(1, 4)
+    for view in (sphere.involution, sphere.labels):
+        with pytest.raises(TypeError):
+            view[0] = 1
+    edited = SymmetricComplex(sphere.complex, {**sphere.involution, 0: 1}, sphere.labels)
+    with pytest.raises(QuotientError, match="free order-2"):
+        sy.quotient(edited)
+    assert sy.quotient(sphere)[0] == sy.gen_polygon(4)
+
+
 @pytest.mark.parametrize("n,s", [(1, 5), (2, 4), (3, 4)])
 def test_hand_built_sphere_quotients_like_the_generated_one(n, s):
     sphere = sy.gen_symmetric_sphere(n, s)

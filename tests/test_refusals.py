@@ -94,6 +94,9 @@ CASES = {
     "restriction_to_unhashable_vertices":
         (lambda: sy.restriction_is_zero(RP2_CLASS, [[1]]), UnknownVertexError,
          r"\[\[1\]\] is not a collection of vertex labels"),
+    "restriction_to_a_subcomplex_of_another_complex":
+        (lambda: sy.restriction_is_zero(HEX_CLASS, sy.induced(sy.gen_complete_graph(6), [1, 2])),
+         ParameterError, "the subcomplex is induced from a different complex"),
     "restriction_to_an_int":
         (lambda: sy.restriction_is_zero(RP2_CLASS, 5), UnknownVertexError,
          "5 is not a collection of vertex labels"),
